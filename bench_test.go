@@ -53,13 +53,16 @@ func tunedConfig(b *testing.B, sc *scene.Scene, algo kdtree.Algorithm) kdtree.Co
 		Scene: sc, Algorithm: algo, Search: harness.SearchNelderMead,
 		Width: 96, Height: 72, MaxIterations: 40, Seed: 7,
 	})
-	cfg := kdtree.Config{
-		Algorithm: algo,
-		CI:        float64(res.BestCI), CB: float64(res.BestCB),
-		S: res.BestS, R: res.BestR,
-	}
+	cfg := tableIIConfig(res)
 	tunedCache.Store(key, cfg)
 	return cfg
+}
+
+// tableIIConfig keeps only the Table II parameters of a run's best
+// configuration; the substrate fields stay at the builder defaults.
+func tableIIConfig(res *harness.RunResult) kdtree.Config {
+	best := res.BestConfig()
+	return kdtree.Config{Algorithm: best.Algorithm, CI: best.CI, CB: best.CB, S: best.S, R: best.R}
 }
 
 // frame executes one Figure-4 frame: rebuild the tree, render.
@@ -93,22 +96,12 @@ func BenchmarkTableI(b *testing.B) {
 // the Table-II search space — the paper's "little runtime overhead" claim.
 // The tuned region is a no-op, so ns/op is pure tuner cost.
 func BenchmarkTableII(b *testing.B) {
-	tuner := NewTuner(TunerOptions{Seed: 1})
 	var ci, cb, s, r int
-	reg := NewTunableRegistry()
-	for _, tn := range []Tunable{
-		{Name: "CI", Target: &ci, Min: 3, Max: 101, Step: 1},
-		{Name: "CB", Target: &cb, Min: 0, Max: 60, Step: 1},
-		{Name: "S", Target: &s, Min: 1, Max: 8, Step: 1},
-		{Name: "R", Target: &r, Min: 16, Max: 8192, Scale: ScalePow2},
-	} {
-		if err := reg.Register(tn); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tuner.RegisterAll(reg); err != nil {
-		b.Fatal(err)
-	}
+	tuner := newTuner(b, TunerOptions{Seed: 1},
+		Tunable{Name: "CI", Target: &ci, Min: 3, Max: 101, Step: 1},
+		Tunable{Name: "CB", Target: &cb, Min: 0, Max: 60, Step: 1},
+		Tunable{Name: "S", Target: &s, Min: 1, Max: 8, Step: 1},
+		Tunable{Name: "R", Target: &r, Min: 16, Max: 8192, Scale: ScalePow2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tuner.Start()
@@ -184,12 +177,12 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	totalIters := 0
 	for i := 0; i < b.N; i++ {
-		tuner := NewTuner(TunerOptions{Seed: int64(i + 1)})
 		var ci, cb, s, r int
-		_ = tuner.RegisterNamedParameter("CI", &ci, 3, 101, 1)
-		_ = tuner.RegisterNamedParameter("CB", &cb, 0, 60, 1)
-		_ = tuner.RegisterNamedParameter("S", &s, 1, 8, 1)
-		_ = tuner.RegisterPow2Parameter("R", &r, 16, 8192)
+		tuner := newTuner(b, TunerOptions{Seed: int64(i + 1)},
+			Tunable{Name: "CI", Target: &ci, Min: 3, Max: 101, Step: 1},
+			Tunable{Name: "CB", Target: &cb, Min: 0, Max: 60, Step: 1},
+			Tunable{Name: "S", Target: &s, Min: 1, Max: 8, Step: 1},
+			Tunable{Name: "R", Target: &r, Min: 16, Max: 8192, Scale: ScalePow2})
 		for iter := 0; iter < 300 && !tuner.Converged(); iter++ {
 			tuner.Start()
 			cost := math.Abs(float64(ci)-40)/40 + math.Abs(float64(cb)-15)/15 +
@@ -220,11 +213,7 @@ func BenchmarkFigure9(b *testing.B) {
 				ExhaustiveStrides: []int{25, 20, 4},
 				Width:             64, Height: 48, MaxIterations: 1 << 20, PostConverge: 1,
 			})
-			configs["exhaustive"] = kdtree.Config{
-				Algorithm: algo,
-				CI:        float64(res.BestCI), CB: float64(res.BestCB),
-				S: res.BestS, R: res.BestR,
-			}
+			configs["exhaustive"] = tableIIConfig(res)
 		})
 	}
 	for _, policy := range []string{"default", "nelder-mead", "exhaustive"} {
@@ -355,10 +344,10 @@ func BenchmarkSeedCount(b *testing.B) {
 		b.Run(fmt.Sprintf("seeds=%d", seeds), func(b *testing.B) {
 			totalBest := 0.0
 			for i := 0; i < b.N; i++ {
-				tuner := NewTuner(TunerOptions{Seed: int64(i + 1), SeedSamples: seeds})
 				var x, y int
-				_ = tuner.RegisterNamedParameter("x", &x, 0, 100, 1)
-				_ = tuner.RegisterNamedParameter("y", &y, 0, 100, 1)
+				tuner := newTuner(b, TunerOptions{Seed: int64(i + 1), SeedSamples: seeds},
+					Tunable{Name: "x", Target: &x, Min: 0, Max: 100, Step: 1},
+					Tunable{Name: "y", Target: &y, Min: 0, Max: 100, Step: 1})
 				for iter := 0; iter < 150 && !tuner.Converged(); iter++ {
 					tuner.Start()
 					dx, dy := float64(x-70), float64(y-30)

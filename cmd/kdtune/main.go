@@ -74,63 +74,38 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown search %q", *search))
 	}
-	if err := applyParamOverrides(&rc, algo, *params); err != nil {
+	baseReg, err := applyParamOverrides(&rc, *params)
+	if err != nil {
 		fail(err)
 	}
+	names := baseReg.Names()
 
 	fmt.Printf("tuning %s with the %s builder (%s search)\n", sc, algo, *search)
 	base := harness.MeasureFixed(rc, 5)
-	fmt.Printf("base configuration C=(17,10,3,4096): median frame %v\n\n", base.Round(time.Millisecond))
+	fmt.Printf("base configuration [%s]: median frame %v\n\n",
+		autotune.FormatVector(names, baseReg.Snapshot()), base.Round(time.Millisecond))
 
 	res := harness.Run(rc)
+	frameVec := make(map[string]int, len(names))
 	for _, f := range res.Frames {
 		marker := ""
 		if res.ConvergedAt >= 0 && f.Iteration == res.ConvergedAt {
 			marker = "   <- converged"
 		}
+		for i, name := range names {
+			frameVec[name] = f.Params[i]
+		}
 		fmt.Printf("iter %3d  frame %3d  [%s]  build %8s  render %8s  total %8s  speedup %.2fx%s\n",
-			f.Iteration, f.FrameIndex, formatVector(res.ParamNames, f.Params),
+			f.Iteration, f.FrameIndex, autotune.FormatVector(names, frameVec),
 			f.Build.Round(time.Millisecond), f.Render.Round(time.Millisecond),
 			f.Total.Round(time.Millisecond),
 			float64(base)/float64(f.Total), marker)
 	}
 
 	fmt.Printf("\nbest configuration [%s], steady-state frame %v, speedup %.2fx\n",
-		formatNamed(res.ParamNames, res.TunedParams),
+		autotune.FormatVector(names, res.TunedParams),
 		res.BestTotal.Round(time.Millisecond),
 		float64(base)/float64(res.BestTotal))
-}
-
-// formatVector renders a positional parameter vector as name=value pairs in
-// registration order.
-func formatVector(names []string, values []int) string {
-	var b strings.Builder
-	for i, name := range names {
-		if i >= len(values) {
-			break
-		}
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", name, values[i])
-	}
-	return b.String()
-}
-
-// formatNamed renders a name-keyed vector in registration order.
-func formatNamed(names []string, values map[string]int) string {
-	var b strings.Builder
-	for _, name := range names {
-		v, ok := values[name]
-		if !ok {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", name, v)
-	}
-	return b.String()
 }
 
 // printParamTable renders the full tunable registry of one run as a markdown
@@ -154,27 +129,30 @@ func printParamTable(w *os.File, algo kdtree.Algorithm) error {
 	return nil
 }
 
-// applyParamOverrides parses "name=value,..." and writes each value into the
-// run's base configuration through the registry, so a deliberately
-// non-default vector (CI smoke legs, experiments) rides the same named
-// mechanism as the tuner.
-func applyParamOverrides(rc *harness.RunConfig, algo kdtree.Algorithm, spec string) error {
-	if spec == "" {
-		return nil
-	}
-	if rc.Base.CI == 0 {
-		rc.Base = kdtree.BaseConfig(algo)
-	}
-	vars := harness.TunedVars{
-		CI: int(rc.Base.CI), CB: int(rc.Base.CB), S: rc.Base.S, R: rc.Base.R,
-		Bins: rc.Base.Bins, ScatterGrain: rc.Base.ScatterGrain,
-		BinGrain: rc.Base.BinGrain, SplitBias: rc.Base.SplitBias,
-		PacketWidth: rc.PacketWidth, TileSize: rc.TileSize,
-	}
-	reg, err := harness.ComposeRegistry(algo, &vars)
+// applyParamOverrides resolves the run's base vector, applies the -params
+// overrides to it, and makes it rc's base configuration. The returned
+// registry reads the resolved vector back, so what is printed as the base is
+// what MeasureFixed measures.
+func applyParamOverrides(rc *harness.RunConfig, spec string) (*autotune.Registry, error) {
+	vars := harness.NewTunedVars(*rc)
+	reg, err := harness.ComposeRegistry(rc.Algorithm, &vars)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	if spec != "" {
+		if err := setParams(reg, spec); err != nil {
+			return nil, err
+		}
+	}
+	rc.Base = vars.BuildConfig(*rc)
+	rc.PacketWidth, rc.TileSize = vars.PacketWidth, vars.TileSize
+	return reg, nil
+}
+
+// setParams parses "name=value,..." and writes each value through the
+// registry, so a deliberately non-default vector (CI smoke legs,
+// experiments) rides the same named mechanism as the tuner.
+func setParams(reg *autotune.Registry, spec string) error {
 	for _, kv := range strings.Split(spec, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
@@ -193,16 +171,6 @@ func applyParamOverrides(rc *harness.RunConfig, algo kdtree.Algorithm, spec stri
 		}
 		*tn.Target = v
 	}
-	rc.Base.CI = float64(vars.CI)
-	rc.Base.CB = float64(vars.CB)
-	rc.Base.S = vars.S
-	rc.Base.R = vars.R
-	rc.Base.Bins = vars.Bins
-	rc.Base.ScatterGrain = vars.ScatterGrain
-	rc.Base.BinGrain = vars.BinGrain
-	rc.Base.SplitBias = vars.SplitBias
-	rc.PacketWidth = vars.PacketWidth
-	rc.TileSize = vars.TileSize
 	return nil
 }
 

@@ -57,12 +57,13 @@ func main() {
 		if f.FrameIndex >= frames/2 {
 			phase = "occluded   "
 		}
+		// Params follows res.ParamNames: CI, CB, S, R lead for lazy.
 		fmt.Printf("iter %2d  frame %2d  %s C=(%3d,%2d,%d,%4d)  total %8s\n",
-			f.Iteration, f.FrameIndex, phase, f.CI, f.CB, f.S, f.R,
+			f.Iteration, f.FrameIndex, phase, f.Params[0], f.Params[1], f.Params[2], f.Params[3],
 			f.Total.Round(time.Millisecond))
 	}
-	fmt.Printf("\nbest configuration found: C=(%d,%d,%d,%d)\n",
-		res.BestCI, res.BestCB, res.BestS, res.BestR)
+	best := res.BestConfig()
+	fmt.Printf("\nbest configuration found: C=(%v,%v,%d,%d)\n", best.CI, best.CB, best.S, best.R)
 	fmt.Println("note how the occluded phase favours large R (lazier trees):")
 	fmt.Println("rays never reach most of the cathedral, so unbuilt subtrees are free.")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -26,28 +27,74 @@ func driveTuner(t *Tuner, cost func(vals []int) float64, maxIters int, targets .
 	return maxIters
 }
 
+// newRegistry registers the tunables in order, failing the test on error.
+func newRegistry(t testing.TB, tunables ...Tunable) *Registry {
+	t.Helper()
+	reg := NewRegistry()
+	for _, tn := range tunables {
+		if err := reg.Register(tn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// newTuner is the Figure 1 setup in one call: a Tuner over the tunables.
+func newTuner(t testing.TB, opts Options, tunables ...Tunable) *Tuner {
+	t.Helper()
+	tn := New(opts)
+	if err := tn.RegisterAll(newRegistry(t, tunables...)); err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
+// linear and pow2 declare the two tunable shapes the tests use.
+func linear(name string, v *int, min, max, step int) Tunable {
+	return Tunable{Name: name, Target: v, Min: min, Max: max, Step: step}
+}
+
+func pow2(name string, v *int, min, max int) Tunable {
+	return Tunable{Name: name, Target: v, Min: min, Max: max, Scale: ScalePow2}
+}
+
+// tableII declares the paper's 4-D space (CI, CB, S, R) over the targets.
+func tableII(ci, cb, s, r *int) []Tunable {
+	return []Tunable{
+		linear("CI", ci, 3, 101, 1), linear("CB", cb, 0, 60, 1),
+		linear("S", s, 1, 8, 1), pow2("R", r, 16, 8192),
+	}
+}
+
 func TestRegisterValidation(t *testing.T) {
-	tn := New(Options{Seed: 1})
 	var v int
-	if err := tn.RegisterParameter(&v, 5, 1, 1); err == nil {
-		t.Fatal("empty range accepted")
+	for _, bad := range []Tunable{
+		linear("v", &v, 5, 1, 1),  // empty range
+		linear("v", &v, 1, 5, -1), // negative step
+		linear("v", nil, 1, 5, 1), // nil target
+		pow2("r", &v, 8192, 16),   // inverted pow2 range
+		linear("", &v, 1, 5, 1),   // no name
+	} {
+		if err := NewRegistry().Register(bad); err == nil {
+			t.Fatalf("invalid tunable %+v accepted", bad)
+		}
 	}
-	if err := tn.RegisterParameter(&v, 1, 5, 0); err == nil {
-		t.Fatal("zero step accepted")
-	}
-	if err := tn.RegisterParameter(nil, 1, 5, 1); err == nil {
-		t.Fatal("nil target accepted")
-	}
-	if err := tn.RegisterPow2Parameter("r", &v, 8192, 16); err == nil {
-		t.Fatal("inverted pow2 range accepted")
-	}
-	if err := tn.RegisterParameter(&v, 1, 5, 1); err != nil {
+	tn := New(Options{Seed: 1})
+	reg := newRegistry(t, linear("v", &v, 1, 5, 1))
+	if err := tn.RegisterAll(reg); err != nil {
 		t.Fatalf("valid registration rejected: %v", err)
+	}
+	if err := tn.RegisterAll(reg); err == nil {
+		t.Fatal("same name registered twice accepted")
 	}
 	tn.Start()
 	tn.StopWithCost(1)
-	if err := tn.RegisterParameter(&v, 1, 5, 1); err == nil {
+	var w int
+	if err := tn.RegisterAll(newRegistry(t, linear("w", &w, 1, 5, 1))); err == nil {
 		t.Fatal("registration after tuning started accepted")
+	}
+	if len(tn.params) != 1 {
+		t.Fatalf("rejected registrations left %d params, want 1", len(tn.params))
 	}
 }
 
@@ -78,14 +125,8 @@ func TestIntervalValues(t *testing.T) {
 }
 
 func TestTunerAppliesValuesWithinBounds(t *testing.T) {
-	tn := New(Options{Seed: 7})
 	var a, b int
-	if err := tn.RegisterParameter(&a, 3, 101, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.RegisterPow2Parameter("r", &b, 16, 8192); err != nil {
-		t.Fatal(err)
-	}
+	tn := newTuner(t, Options{Seed: 7}, linear("a", &a, 3, 101, 1), pow2("r", &b, 16, 8192))
 	for i := 0; i < 200; i++ {
 		tn.Start()
 		if a < 3 || a > 101 {
@@ -99,11 +140,8 @@ func TestTunerAppliesValuesWithinBounds(t *testing.T) {
 }
 
 func TestConvergesOnConvexQuadratic1D(t *testing.T) {
-	tn := New(Options{Seed: 3})
 	var n int
-	if err := tn.RegisterParameter(&n, 1, 64, 1); err != nil {
-		t.Fatal(err)
-	}
+	tn := newTuner(t, Options{Seed: 3}, linear("n", &n, 1, 64, 1))
 	cost := func(vals []int) float64 {
 		d := float64(vals[0] - 23)
 		return 100 + d*d
@@ -128,20 +166,8 @@ func TestConvergesOnConvexQuadratic4D(t *testing.T) {
 	opt := []int{40, 20, 5, 256}
 	var costs []float64
 	for seed := int64(1); seed <= 5; seed++ {
-		tn := New(Options{Seed: seed})
 		var ci, cb, s, r int
-		if err := tn.RegisterNamedParameter("CI", &ci, 3, 101, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.RegisterNamedParameter("CB", &cb, 0, 60, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.RegisterNamedParameter("S", &s, 1, 8, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.RegisterPow2Parameter("R", &r, 16, 8192); err != nil {
-			t.Fatal(err)
-		}
+		tn := newTuner(t, Options{Seed: seed}, tableII(&ci, &cb, &s, &r)...)
 		cost := func(v []int) float64 {
 			c := 0.0
 			for i, o := range opt {
@@ -169,12 +195,8 @@ func TestConvergenceSpeedIsPaperLike(t *testing.T) {
 	// multiple of that on a smooth cost surface for most seeds.
 	within := 0
 	for seed := int64(1); seed <= 10; seed++ {
-		tn := New(Options{Seed: seed})
 		var ci, cb, s, r int
-		_ = tn.RegisterNamedParameter("CI", &ci, 3, 101, 1)
-		_ = tn.RegisterNamedParameter("CB", &cb, 0, 60, 1)
-		_ = tn.RegisterNamedParameter("S", &s, 1, 8, 1)
-		_ = tn.RegisterPow2Parameter("R", &r, 16, 8192)
+		tn := newTuner(t, Options{Seed: seed}, tableII(&ci, &cb, &s, &r)...)
 		cost := func(v []int) float64 {
 			return math.Abs(float64(v[0])-30)/30 + math.Abs(float64(v[1])-15)/15 +
 				math.Abs(float64(v[2])-4)/4 + math.Abs(math.Log2(float64(v[3]))-8)
@@ -191,11 +213,8 @@ func TestConvergenceSpeedIsPaperLike(t *testing.T) {
 
 func TestNoisyMeasurementsStillImprove(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	tn := New(Options{Seed: 17})
 	var n int
-	if err := tn.RegisterParameter(&n, 1, 100, 1); err != nil {
-		t.Fatal(err)
-	}
+	tn := newTuner(t, Options{Seed: 17}, linear("n", &n, 1, 100, 1))
 	cost := func(vals []int) float64 {
 		d := float64(vals[0]-60) / 60
 		return (1 + d*d) * (1 + 0.05*rng.NormFloat64())
@@ -217,11 +236,8 @@ func TestBestNeverWorseThanFirstSample(t *testing.T) {
 		func(v []int) float64 { return float64((v[0] * 7919) % 101) }, // rough
 	}
 	for si, cost := range surfaces {
-		tn := New(Options{Seed: int64(si + 1)})
 		var n int
-		if err := tn.RegisterParameter(&n, 1, 100, 1); err != nil {
-			t.Fatal(err)
-		}
+		tn := newTuner(t, Options{Seed: int64(si + 1)}, linear("n", &n, 1, 100, 1))
 		var first float64
 		for i := 0; i < 150; i++ {
 			tn.Start()
@@ -239,9 +255,8 @@ func TestBestNeverWorseThanFirstSample(t *testing.T) {
 }
 
 func TestStartStopDiscipline(t *testing.T) {
-	tn := New(Options{Seed: 1})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 4, 1)
+	tn := newTuner(t, Options{Seed: 1}, linear("v", &v, 1, 4, 1))
 
 	func() {
 		defer func() {
@@ -288,7 +303,9 @@ func TestWallClockMeasurement(t *testing.T) {
 		return now
 	}})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 8, 1)
+	if err := tn.RegisterAll(newRegistry(t, linear("v", &v, 1, 8, 1))); err != nil {
+		t.Fatal(err)
+	}
 	tn.Start()
 	tn.Stop()
 	if len(tn.History()) != 1 || tn.History()[0].Cost <= 0 {
@@ -297,9 +314,8 @@ func TestWallClockMeasurement(t *testing.T) {
 }
 
 func TestApplyBest(t *testing.T) {
-	tn := New(Options{Seed: 5})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 50, 1)
+	tn := newTuner(t, Options{Seed: 5}, linear("v", &v, 1, 50, 1))
 	if tn.ApplyBest() {
 		t.Fatal("ApplyBest before any measurement should report false")
 	}
@@ -317,9 +333,8 @@ func TestApplyBest(t *testing.T) {
 }
 
 func TestRetuneAdaptsToShiftedOptimum(t *testing.T) {
-	tn := New(Options{Seed: 11, RetuneThreshold: 1.5, RetuneWindow: 3})
 	var n int
-	_ = tn.RegisterParameter(&n, 1, 100, 1)
+	tn := newTuner(t, Options{Seed: 11, RetuneThreshold: 1.5, RetuneWindow: 3}, linear("n", &n, 1, 100, 1))
 
 	optimum := 20
 	cost := func(v int) float64 {
@@ -351,12 +366,8 @@ func TestRetuneAdaptsToShiftedOptimum(t *testing.T) {
 
 func TestExhaustiveVisitsWholeGrid(t *testing.T) {
 	var a, b int
-	tn, err := NewExhaustiveTuner(Options{Seed: 1}, func(t *Tuner) error {
-		if err := t.RegisterParameter(&a, 0, 4, 1); err != nil {
-			return err
-		}
-		return t.RegisterParameter(&b, 0, 2, 1)
-	}, nil)
+	tn, err := NewExhaustiveTuner(Options{Seed: 1},
+		newRegistry(t, linear("a", &a, 0, 4, 1), linear("b", &b, 0, 2, 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,33 +388,57 @@ func TestExhaustiveVisitsWholeGrid(t *testing.T) {
 
 func TestExhaustiveStrides(t *testing.T) {
 	var a int
-	params := []*Param{{name: "a", target: &a, values: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}}
-	e := NewExhaustive(params, []int{3})
-	if e.GridSize() != 4 {
-		t.Fatalf("GridSize = %d, want 4 (indices 0,3,6,9)", e.GridSize())
+	tn, err := NewExhaustiveTuner(Options{Seed: 1}, newRegistry(t, linear("a", &a, 0, 9, 1)), []int{3})
+	if err != nil {
+		t.Fatal(err)
 	}
 	visited := []int{}
-	for !e.Converged() {
-		cfg := e.Next()
-		visited = append(visited, cfg[0])
-		e.Report(cfg, float64(cfg[0]))
+	for !tn.Converged() {
+		tn.Start()
+		visited = append(visited, a)
+		tn.StopWithCost(float64(a))
 	}
-	if len(visited) != 4 || visited[0] != 0 || visited[3] != 9 {
-		t.Fatalf("visited = %v", visited)
+	if want := []int{0, 3, 6, 9}; !slices.Equal(visited, want) {
+		t.Fatalf("visited = %v, want %v", visited, want)
 	}
-	if e.Evaluations() != 4 {
-		t.Fatalf("Evaluations = %d", e.Evaluations())
-	}
-	vals, cost, ok := e.Best()
+	vals, cost, ok := tn.Best()
 	if !ok || vals[0] != 0 || cost != 0 {
 		t.Fatalf("Best = %v %v %v", vals, cost, ok)
+	}
+
+	// A missing trailing stride (or one <= 1) means full resolution and a
+	// stride past the last dimension is ignored, so one positional
+	// (CI, CB, S, R) stride list serves grids with and without R.
+	for _, tc := range []struct {
+		strides []int
+		want    int
+	}{
+		{nil, 4 * 3},
+		{[]int{2}, 2 * 3},
+		{[]int{2, 2}, 2 * 2},
+		{[]int{2, 2, 7}, 2 * 2},
+		{[]int{0, -1}, 4 * 3},
+	} {
+		var a, b int
+		tn, err := NewExhaustiveTuner(Options{Seed: 1},
+			newRegistry(t, linear("a", &a, 1, 4, 1), linear("b", &b, 1, 3, 1)), tc.strides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; !tn.Converged(); n++ {
+			tn.Start()
+			tn.StopWithCost(float64(a + b))
+		}
+		if n != tc.want {
+			t.Errorf("strides %v: visited %d configs, want %d", tc.strides, n, tc.want)
+		}
 	}
 }
 
 func TestHistoryRecordsValuesNotIndices(t *testing.T) {
-	tn := New(Options{Seed: 2})
 	var r int
-	_ = tn.RegisterPow2Parameter("R", &r, 16, 8192)
+	tn := newTuner(t, Options{Seed: 2}, pow2("R", &r, 16, 8192))
 	tn.Start()
 	applied := r
 	tn.StopWithCost(1)
@@ -417,23 +452,24 @@ func TestHistoryRecordsValuesNotIndices(t *testing.T) {
 }
 
 func TestParamAccessors(t *testing.T) {
-	tn := New(Options{Seed: 2})
 	var v int
-	_ = tn.RegisterNamedParameter("CI", &v, 3, 101, 1)
-	ps := tn.Params()
-	if len(ps) != 1 || ps[0].Name() != "CI" || len(ps[0].Values()) != 99 {
-		t.Fatalf("Params() wrong: %+v", ps)
+	tn := newTuner(t, Options{Seed: 2}, linear("CI", &v, 3, 101, 1))
+	ps := tn.params
+	if len(ps) != 1 || ps[0].name != "CI" || len(ps[0].values) != 99 || ps[0].target != &v {
+		t.Fatalf("params wrong: %+v", ps)
 	}
-	if ps[0].indexOf(3) != 0 || ps[0].indexOf(101) != 98 || ps[0].indexOf(-100) != 0 {
-		t.Fatal("indexOf wrong")
+	if ps[0].clampIndex(-5) != 0 || ps[0].clampIndex(500) != 98 || ps[0].clampIndex(7) != 7 {
+		t.Fatal("clampIndex wrong")
+	}
+	ps[0].apply(98)
+	if v != 101 {
+		t.Fatalf("apply(98) wrote %d, want 101", v)
 	}
 }
 
 func TestRandomSearchFindsGoodConfigs(t *testing.T) {
 	var x int
-	tn, err := NewRandomTuner(Options{Seed: 21}, func(t *Tuner) error {
-		return t.RegisterParameter(&x, 0, 1000, 1)
-	}, 100)
+	tn, err := NewRandomTuner(Options{Seed: 21}, newRegistry(t, linear("x", &x, 0, 1000, 1)), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,36 +509,28 @@ func TestNelderMeadBeatsRandomOnSmoothSurface(t *testing.T) {
 			}
 			return c
 		}
-		register := func(t *Tuner) error {
-			var a, b, c, d int
-			targets := []*int{&a, &b, &c, &d}
-			for i, p := range targets {
-				if err := t.RegisterNamedParameter(fmt.Sprintf("p%d", i), p, 0, 100, 1); err != nil {
-					return err
-				}
+		reg := NewRegistry()
+		for i := 0; i < 4; i++ {
+			if err := reg.Register(linear(fmt.Sprintf("p%d", i), new(int), 0, 100, 1)); err != nil {
+				t.Fatal(err)
 			}
-			return nil
 		}
 		runFor := func(tn *Tuner) float64 {
 			for i := 0; i < budget; i++ {
 				tn.Start()
-				vals := make([]int, 4)
-				for j, p := range tn.Params() {
-					vals[j] = *p.target
-				}
-				tn.StopWithCost(cost(vals))
+				tn.StopWithCost(cost(reg.Vector()))
 			}
 			_, best, _ := tn.Best()
 			return best
 		}
 
 		nm := New(Options{Seed: seed})
-		if err := register(nm); err != nil {
+		if err := nm.RegisterAll(reg); err != nil {
 			t.Fatal(err)
 		}
 		nmBest := runFor(nm)
 
-		rnd, err := NewRandomTuner(Options{Seed: seed}, register, budget)
+		rnd, err := NewRandomTuner(Options{Seed: seed}, reg, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,12 +550,8 @@ func TestNelderMeadBeatsRandomOnSmoothSurface(t *testing.T) {
 
 func TestExhaustiveWithPow2Parameter(t *testing.T) {
 	var ci, r int
-	tn, err := NewExhaustiveTuner(Options{Seed: 1}, func(t *Tuner) error {
-		if err := t.RegisterParameter(&ci, 3, 101, 14); err != nil {
-			return err
-		}
-		return t.RegisterPow2Parameter("R", &r, 16, 8192)
-	}, nil)
+	tn, err := NewExhaustiveTuner(Options{Seed: 1},
+		newRegistry(t, linear("CI", &ci, 3, 101, 14), pow2("R", &r, 16, 8192)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,9 +572,8 @@ func TestExhaustiveWithPow2Parameter(t *testing.T) {
 }
 
 func TestRetuneWithoutHistoryIsNoop(t *testing.T) {
-	tn := New(Options{Seed: 1})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 4, 1)
+	tn := newTuner(t, Options{Seed: 1}, linear("v", &v, 1, 4, 1))
 	tn.Retune() // no search yet: must not panic
 	if tn.Restarts() != 0 {
 		t.Fatal("retune counted without a search")
@@ -560,9 +583,8 @@ func TestRetuneWithoutHistoryIsNoop(t *testing.T) {
 func TestRetuneKeepsBestMeaningful(t *testing.T) {
 	// Regression test: Retune used to reset bestCost to +Inf while keeping
 	// the best indices, so Best() returned ok=true with cost=+Inf.
-	tn := New(Options{Seed: 7})
 	var v int
-	_ = tn.RegisterParameter(&v, 1, 50, 1)
+	tn := newTuner(t, Options{Seed: 7}, linear("v", &v, 1, 50, 1))
 	driveTuner(tn, func(vals []int) float64 {
 		d := float64(vals[0] - 30)
 		return 1 + d*d
@@ -603,9 +625,7 @@ func TestRetuneNoOpForNonRestartableSearch(t *testing.T) {
 	// Regression test: restarts must not be counted when the searcher
 	// cannot restart (only Nelder-Mead supports it).
 	var v int
-	tn, err := NewExhaustiveTuner(Options{Seed: 3}, func(t *Tuner) error {
-		return t.RegisterParameter(&v, 1, 4, 1)
-	}, nil)
+	tn, err := NewExhaustiveTuner(Options{Seed: 3}, newRegistry(t, linear("v", &v, 1, 4, 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

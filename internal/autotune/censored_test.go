@@ -7,12 +7,8 @@ import (
 
 func newCensorTuner(t *testing.T, opts Options) (*Tuner, *int) {
 	t.Helper()
-	tn := New(opts)
 	v := new(int)
-	if err := tn.RegisterNamedParameter("v", v, 1, 20, 1); err != nil {
-		t.Fatal(err)
-	}
-	return tn, v
+	return newTuner(t, opts, linear("v", v, 1, 20, 1)), v
 }
 
 func TestStopAbortedRequiresStart(t *testing.T) {

@@ -50,7 +50,7 @@ type vertex struct {
 // emitted. Because online measurements are noisy, convergence is declared
 // when the simplex collapses onto (nearly) a single grid cell.
 type nelderMead struct {
-	params []*Param
+	params []*param
 	rng    *rand.Rand
 
 	phase      nmPhase
@@ -72,7 +72,7 @@ type nelderMead struct {
 // newNelderMead creates the searcher. seedSamples is the size of the random
 // sampling phase; it is clamped below to d+1 so a full simplex can be
 // formed.
-func newNelderMead(params []*Param, seedSamples int, rng *rand.Rand) *nelderMead {
+func newNelderMead(params []*param, seedSamples int, rng *rand.Rand) *nelderMead {
 	d := len(params)
 	if seedSamples < d+1 {
 		seedSamples = d + 1

@@ -7,11 +7,11 @@ import (
 )
 
 // mkParams builds two 0..100 step-1 parameters for white-box NM tests.
-func mkParams() []*Param {
+func mkParams() []*param {
 	var a, b int
 	va, _ := intervalValues(0, 100, 1)
 	vb, _ := intervalValues(0, 100, 1)
-	return []*Param{
+	return []*param{
 		{name: "a", target: &a, values: va},
 		{name: "b", target: &b, values: vb},
 	}
@@ -150,7 +150,7 @@ func TestNMSingleValueParameter(t *testing.T) {
 	var a, b int
 	va, _ := intervalValues(5, 5, 1)
 	vb, _ := intervalValues(0, 10, 1)
-	params := []*Param{
+	params := []*param{
 		{name: "a", target: &a, values: va},
 		{name: "b", target: &b, values: vb},
 	}

@@ -5,10 +5,13 @@
 // configuration space with random sampling that seeds a Nelder–Mead simplex
 // search (§III-A).
 //
-// The client workflow matches the paper's Figure 1:
+// The client workflow matches the paper's Figure 1, with every tuned
+// variable declared once in a Registry:
 //
-//	tuner := autotune.New()
-//	tuner.RegisterParameter(&n, min, max, step)
+//	reg := autotune.NewRegistry()
+//	reg.Register(autotune.Tunable{Name: "N", Target: &n, Min: min, Max: max, Step: step})
+//	tuner := autotune.New(autotune.Options{})
+//	tuner.RegisterAll(reg)
 //	for work() {
 //		tuner.Start() // applies the configuration under test
 //		doTunedWork(n)
@@ -18,27 +21,20 @@ package autotune
 
 import "fmt"
 
-// Param is one registered tuning parameter: a target variable and the
+// param is one tunable as the searchers see it: a target variable and the
 // discrete set of values it may take (τ in the paper's formalisation —
 // most tuning parameters are closed integer intervals, §III-A).
-type Param struct {
+type param struct {
 	name   string
 	target *int
-	values []int
+	values []int // ascending
 }
 
-// Name returns the diagnostic name given at registration.
-func (p *Param) Name() string { return p.name }
-
-// Values returns the parameter's value set in ascending order. The returned
-// slice is shared; callers must not modify it.
-func (p *Param) Values() []int { return p.values }
-
 // apply writes the value at index idx into the client variable.
-func (p *Param) apply(idx int) { *p.target = p.values[idx] }
+func (p *param) apply(idx int) { *p.target = p.values[idx] }
 
 // clampIndex snaps an arbitrary index into the valid range.
-func (p *Param) clampIndex(i int) int {
+func (p *param) clampIndex(i int) int {
 	if i < 0 {
 		return 0
 	}
@@ -46,21 +42,6 @@ func (p *Param) clampIndex(i int) int {
 		return len(p.values) - 1
 	}
 	return i
-}
-
-// indexOf returns the index of the value closest to v.
-func (p *Param) indexOf(v int) int {
-	best, bestDist := 0, -1
-	for i, pv := range p.values {
-		d := pv - v
-		if d < 0 {
-			d = -d
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
 }
 
 // intervalValues enumerates min..max with the given stride.

@@ -5,26 +5,25 @@ import (
 	"math/rand"
 )
 
-// RandomSearch is the no-structure baseline searcher: every cycle draws an
+// randomSearch is the no-structure baseline searcher: every cycle draws an
 // independent uniform configuration, and the incumbent is simply the best
 // sample so far. The paper's AtuneRT uses random sampling only to seed the
 // Nelder–Mead simplex; keeping the pure strategy around lets experiments
 // quantify what the simplex search adds over sampling alone.
-type RandomSearch struct {
-	params  []*Param
-	rng     *rand.Rand
-	budget  int // evaluations before the search freezes on the incumbent
-	current []int
+type randomSearch struct {
+	params []*param
+	rng    *rand.Rand
+	budget int // evaluations before the search freezes on the incumbent
 
 	best     []int
 	bestCost float64
 	count    int
 }
 
-// NewRandomSearch creates the baseline with the given evaluation budget
+// newRandomSearch creates the baseline with the given evaluation budget
 // (<=0 means never freeze: keep sampling forever).
-func NewRandomSearch(params []*Param, budget int, rng *rand.Rand) *RandomSearch {
-	return &RandomSearch{
+func newRandomSearch(params []*param, budget int, rng *rand.Rand) *randomSearch {
+	return &randomSearch{
 		params:   params,
 		rng:      rng,
 		budget:   budget,
@@ -33,7 +32,7 @@ func NewRandomSearch(params []*Param, budget int, rng *rand.Rand) *RandomSearch 
 }
 
 // Next returns the configuration to measure.
-func (r *RandomSearch) Next() []int {
+func (r *randomSearch) Next() []int {
 	if r.Converged() {
 		return append([]int(nil), r.best...)
 	}
@@ -41,12 +40,11 @@ func (r *RandomSearch) Next() []int {
 	for i, p := range r.params {
 		cfg[i] = r.rng.Intn(len(p.values))
 	}
-	r.current = cfg
 	return cfg
 }
 
 // Report records the measured cost.
-func (r *RandomSearch) Report(cfg []int, cost float64) {
+func (r *randomSearch) Report(cfg []int, cost float64) {
 	r.count++
 	if cost < r.bestCost {
 		r.bestCost = cost
@@ -55,22 +53,19 @@ func (r *RandomSearch) Report(cfg []int, cost float64) {
 }
 
 // Converged reports whether the sampling budget is exhausted.
-func (r *RandomSearch) Converged() bool {
+func (r *randomSearch) Converged() bool {
 	return r.budget > 0 && r.count >= r.budget && r.best != nil
 }
 
-// Evaluations returns the number of samples measured.
-func (r *RandomSearch) Evaluations() int { return r.count }
+var _ searcher = (*randomSearch)(nil)
 
-var _ searcher = (*RandomSearch)(nil)
-
-// NewRandomTuner wraps a RandomSearch in the Tuner workflow, mirroring
-// NewExhaustiveTuner.
-func NewRandomTuner(opts Options, build func(t *Tuner) error, budget int) (*Tuner, error) {
+// NewRandomTuner wraps the random-sampling baseline over every tunable of
+// reg in the Tuner workflow, mirroring NewExhaustiveTuner.
+func NewRandomTuner(opts Options, reg *Registry, budget int) (*Tuner, error) {
 	t := New(opts)
-	if err := build(t); err != nil {
+	if err := t.RegisterAll(reg); err != nil {
 		return nil, err
 	}
-	t.search = NewRandomSearch(t.params, budget, t.rng)
+	t.search = newRandomSearch(t.params, budget, t.rng)
 	return t, nil
 }

@@ -2,7 +2,7 @@ package autotune
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Scale is the search-space shaping hint a tunable carries at registration.
@@ -153,70 +153,77 @@ func (r *Registry) Vector() []int {
 	return v
 }
 
-// FormatVector renders a name-keyed vector as "name=value,..." in
-// registration order (names absent from the map are skipped), so traces and
-// compare output print configurations identically everywhere.
-func (r *Registry) FormatVector(values map[string]int) string {
-	out := make([]byte, 0, 16*len(r.tunables))
+// Subset returns a registry holding only the named tunables, in this
+// registry's registration order; names that are not registered are skipped.
+// The subset shares its targets with r, so tuning it moves the same program
+// variables — it is a name-filtered view, not a second declaration.
+func (r *Registry) Subset(names ...string) *Registry {
+	sub := NewRegistry()
 	for _, tn := range r.tunables {
-		v, ok := values[tn.Name]
+		if slices.Contains(names, tn.Name) {
+			sub.byName[tn.Name] = len(sub.tunables)
+			sub.tunables = append(sub.tunables, tn)
+		}
+	}
+	return sub
+}
+
+// FormatVector renders a name-keyed vector as "name=value,..." in the order
+// of names (names absent from the map are skipped), so traces, reports and
+// compare output print configurations identically everywhere.
+func FormatVector(names []string, values map[string]int) string {
+	out := make([]byte, 0, 16*len(names))
+	for _, name := range names {
+		v, ok := values[name]
 		if !ok {
 			continue
 		}
 		if len(out) > 0 {
 			out = append(out, ',')
 		}
-		out = fmt.Appendf(out, "%s=%d", tn.Name, v)
+		out = fmt.Appendf(out, "%s=%d", name, v)
 	}
 	return string(out)
 }
 
-// FormatParams renders an arbitrary name-keyed vector without a registry:
-// keys sort alphabetically. Used by report printers that only have the map.
+// FormatParams is FormatVector for a vector without a name order: keys sort
+// alphabetically. Used by report printers that only have the map.
 func FormatParams(values map[string]int) string {
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
+	names := make([]string, 0, len(values))
+	for name := range values {
+		names = append(names, name)
 	}
-	sort.Strings(keys)
-	out := make([]byte, 0, 16*len(keys))
-	for _, k := range keys {
-		if len(out) > 0 {
-			out = append(out, ',')
-		}
-		out = fmt.Appendf(out, "%s=%d", k, values[k])
-	}
-	return string(out)
+	slices.Sort(names)
+	return FormatVector(names, values)
 }
 
-// RegisterAll registers every tunable of the registry with the tuner, in
-// registration order — the bridge between the subsystem-facing Registry and
-// the search: the composed parameter list defines the Nelder–Mead (or
-// exhaustive) search space.
+// RegisterAll is the only way parameters enter a Tuner: it registers every
+// tunable of the registry, in registration order, and the composed
+// parameter list defines the Nelder–Mead (or exhaustive, or random) search
+// space. It may be called more than once before the first Start to compose
+// several registries; a name registered twice, or registration after tuning
+// started, is an error, and nothing from reg is registered then.
 func (t *Tuner) RegisterAll(reg *Registry) error {
+	if t.search != nil {
+		return fmt.Errorf("autotune: cannot register parameters after tuning started")
+	}
+	added := make([]*param, 0, reg.Len())
 	for _, tn := range reg.Tunables() {
-		if err := t.RegisterTunable(tn); err != nil {
+		vals, err := tn.Values()
+		if err != nil {
 			return err
 		}
+		if slices.ContainsFunc(t.params, func(p *param) bool { return p.name == tn.Name }) {
+			return fmt.Errorf("autotune: tunable %q registered twice", tn.Name)
+		}
+		added = append(added, &param{name: tn.Name, target: tn.Target, values: vals})
 	}
+	t.params = append(t.params, added...)
 	return nil
 }
 
-// RegisterTunable registers a single tunable spec with the tuner.
-func (t *Tuner) RegisterTunable(tn Tunable) error {
-	vals, err := tn.Values()
-	if err != nil {
-		return err
-	}
-	if tn.Target == nil {
-		return fmt.Errorf("autotune: tunable %q has a nil target", tn.Name)
-	}
-	return t.register(tn.Name, tn.Target, vals)
-}
-
 // BestByName returns the tuner's best-known configuration as a name-keyed
-// map. ok is false before the first completed cycle. Parameters registered
-// without a name keep their synthetic "paramN" names.
+// map. ok is false before the first completed cycle.
 func (t *Tuner) BestByName() (map[string]int, bool) {
 	values, _, ok := t.Best()
 	if !ok {
@@ -224,7 +231,7 @@ func (t *Tuner) BestByName() (map[string]int, bool) {
 	}
 	m := make(map[string]int, len(values))
 	for i, p := range t.params {
-		m[p.Name()] = values[i]
+		m[p.name] = values[i]
 	}
 	return m, true
 }

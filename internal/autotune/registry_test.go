@@ -91,7 +91,7 @@ func TestRegistryOrderAndLookup(t *testing.T) {
 	if want := []int{1, 2, 3}; !reflect.DeepEqual(reg.Vector(), want) {
 		t.Fatalf("Vector = %v, want %v", reg.Vector(), want)
 	}
-	if got, want := reg.FormatVector(snap), "ci=1,grain=2,bias=3"; got != want {
+	if got, want := FormatVector(reg.Names(), snap), "ci=1,grain=2,bias=3"; got != want {
 		t.Fatalf("FormatVector = %q, want %q", got, want)
 	}
 	if got, want := FormatParams(snap), "bias=3,ci=1,grain=2"; got != want {
@@ -143,14 +143,9 @@ func TestRegisterAllComposesSearchSpace(t *testing.T) {
 }
 
 func TestRegisterAllRejectsDuplicateAcrossRegistries(t *testing.T) {
-	a, b := 0, 0
-	r1, r2 := NewRegistry(), NewRegistry()
-	if err := r1.Register(Tunable{Name: "x", Target: &a, Min: 1, Max: 4, Scale: ScalePow2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Register(Tunable{Name: "y", Target: &b, Min: 1, Max: 4, Scale: ScalePow2}); err != nil {
-		t.Fatal(err)
-	}
+	a, b, c := 0, 0, 0
+	r1 := newRegistry(t, pow2("x", &a, 1, 4))
+	r2 := newRegistry(t, pow2("y", &b, 1, 4))
 	tn := New(Options{Seed: 1})
 	if err := tn.RegisterAll(r1); err != nil {
 		t.Fatal(err)
@@ -160,21 +155,20 @@ func TestRegisterAllRejectsDuplicateAcrossRegistries(t *testing.T) {
 	if err := tn.RegisterAll(r2); err != nil {
 		t.Fatal(err)
 	}
-	if len(tn.Params()) != 2 {
-		t.Fatalf("params = %d, want 2", len(tn.Params()))
+	// A name another registry already contributed would make BestByName
+	// ambiguous: rejected, and the rejected registry adds nothing.
+	if err := tn.RegisterAll(newRegistry(t, pow2("z", &c, 1, 4), pow2("x", &c, 1, 4))); err == nil {
+		t.Fatal("duplicate name across registries accepted")
+	}
+	if len(tn.params) != 2 {
+		t.Fatalf("params = %d, want 2", len(tn.params))
 	}
 }
 
 func TestExhaustiveFromRegistry(t *testing.T) {
 	a, b := 0, 0
-	reg := NewRegistry()
-	if err := reg.Register(Tunable{Name: "a", Target: &a, Min: 1, Max: 3, Step: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(Tunable{Name: "b", Target: &b, Min: 1, Max: 4, Scale: ScalePow2}); err != nil {
-		t.Fatal(err)
-	}
-	tn, err := NewExhaustiveTunerFromRegistry(Options{Seed: 1}, reg, nil)
+	reg := newRegistry(t, linear("a", &a, 1, 3, 1), pow2("b", &b, 1, 4))
+	tn, err := NewExhaustiveTuner(Options{Seed: 1}, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,5 +184,26 @@ func TestExhaustiveFromRegistry(t *testing.T) {
 	best, ok := tn.BestByName()
 	if !ok || best["a"] != 1 || best["b"] != 1 {
 		t.Fatalf("best = %v, want a=1 b=1", best)
+	}
+}
+
+// TestSubsetIsNameFilteredView: a subset keeps the parent's registration
+// order whatever order the names are asked in, skips unknown names, and
+// shares the parent's targets.
+func TestSubsetIsNameFilteredView(t *testing.T) {
+	a, b, c := 1, 2, 3
+	reg := newRegistry(t, linear("a", &a, 0, 9, 1), linear("b", &b, 0, 9, 1), linear("c", &c, 0, 9, 1))
+	sub := reg.Subset("c", "missing", "a")
+	if want := []string{"a", "c"}; !reflect.DeepEqual(sub.Names(), want) {
+		t.Fatalf("Subset names = %v, want %v", sub.Names(), want)
+	}
+	if tn, ok := sub.Lookup("c"); !ok || tn.Target != &c {
+		t.Fatalf("Subset lost the shared target of c: %+v %v", tn, ok)
+	}
+	if _, ok := sub.Lookup("b"); ok {
+		t.Fatal("Subset kept an unlisted tunable")
+	}
+	if reg.Len() != 3 {
+		t.Fatalf("Subset changed the parent: Len = %d", reg.Len())
 	}
 }

@@ -294,12 +294,13 @@ func RunBench(o BenchOptions) *BenchReport {
 			tune.MaxIterations = s.MaxIterations
 			run := Run(tune)
 
+			best := run.BestConfig()
 			tuned := rc
-			tuned.Base = run.BestConfig()
-			tuned.PacketWidth = run.BestP
-			tuned.TileSize = run.BestT
+			tuned.Base = best
+			tuned.PacketWidth = run.TunedParams["P"]
+			tuned.TileSize = run.TunedParams["T"]
 			frame, build, rend, tunedRes := measureStats(tuned, s)
-			allocsB, bytesB, gcMS := measureBuildAllocs(sc, run.BestConfig())
+			allocsB, bytesB, gcMS := measureBuildAllocs(sc, best)
 			abortedB := baseRes.AbortedBuilds + run.AbortedBuilds + tunedRes.AbortedBuilds
 			fallbackF := baseRes.FallbackFrames + run.FallbackFrames + tunedRes.FallbackFrames
 
@@ -316,9 +317,9 @@ func RunBench(o BenchOptions) *BenchReport {
 				Triangles: sc.NumTriangles(), Dynamic: sc.IsDynamic(),
 				Base: baseFrame, Frame: frame, Build: build, Rend: rend,
 				TunedParams: run.TunedParams,
-				TunedCI:     run.BestCI, TunedCB: run.BestCB,
-				TunedS: run.BestS, TunedR: run.BestR,
-				TunedP: run.BestP, TunedT: run.BestT,
+				TunedCI:     int(best.CI), TunedCB: int(best.CB),
+				TunedS: best.S, TunedR: best.R,
+				TunedP: tuned.PacketWidth, TunedT: tuned.TileSize,
 				DemotionRate:   demRate,
 				ConvergedAt:    run.ConvergedAt,
 				Speedup:        speedup,

@@ -74,29 +74,3 @@ func WriteConvergenceCSV(w io.Writer, pts []ConvergencePoint) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteFramesCSV dumps the raw per-frame trace of a run, the most granular
-// experiment artefact (configuration under test + timings per cycle).
-func WriteFramesCSV(w io.Writer, frames []FrameRecord) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"iteration", "frame", "ci", "cb", "s", "r",
-		"build_seconds", "render_seconds", "total_seconds",
-	}); err != nil {
-		return err
-	}
-	for _, f := range frames {
-		err := cw.Write([]string{
-			strconv.Itoa(f.Iteration), strconv.Itoa(f.FrameIndex),
-			strconv.Itoa(f.CI), strconv.Itoa(f.CB), strconv.Itoa(f.S), strconv.Itoa(f.R),
-			fmt.Sprintf("%.6f", f.Build.Seconds()),
-			fmt.Sprintf("%.6f", f.Render.Seconds()),
-			fmt.Sprintf("%.6f", f.Total.Seconds()),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -97,16 +97,17 @@ func SpeedupExperiment(sceneNames []string, algos []kdtree.Algorithm, o Opts) ([
 			// same fixed protocol as the base, so exploration frames and
 			// lucky-noise incumbent selection cannot contaminate the
 			// numerator.
+			best := res.BestConfig()
 			tuned := MeasureFixed(RunConfig{
 				Scene: rc.Scene, Algorithm: algo, Workers: rc.Workers,
 				Width: rc.Width, Height: rc.Height,
-				Base: res.BestConfig(),
+				Base: best,
 			}, o.BaseFrames)
 
 			cell := SpeedupCell{
 				Scene: name, Algorithm: algo,
 				Base: base, Tuned: tuned,
-				TunedCI: res.BestCI, TunedCB: res.BestCB, TunedS: res.BestS, TunedR: res.BestR,
+				TunedCI: int(best.CI), TunedCB: int(best.CB), TunedS: best.S, TunedR: best.R,
 				ConvergedAt: res.ConvergedAt,
 			}
 			out = append(out, cell)
@@ -206,11 +207,12 @@ func distributionForScene(sc *scene.Scene, label string, algo kdtree.Algorithm, 
 			Workers: workers, Width: o.Width, Height: o.Height,
 			MaxIterations: o.MaxIterations, Seed: o.Seed + int64(rep),
 		})
-		cis = append(cis, Normalize01(float64(res.BestCI), CIMin, CIMax))
-		cbs = append(cbs, Normalize01(float64(res.BestCB), CBMin, CBMax))
-		ss = append(ss, Normalize01(float64(res.BestS), SMin, SMax))
-		rs = append(rs, NormalizeLog2(float64(res.BestR), RMin, RMax))
-		o.logf("fig7 %-16s rep %2d -> C=(%d,%d,%d,%d)", label, rep, res.BestCI, res.BestCB, res.BestS, res.BestR)
+		best := res.BestConfig()
+		cis = append(cis, Normalize01(best.CI, CIMin, CIMax))
+		cbs = append(cbs, Normalize01(best.CB, CBMin, CBMax))
+		ss = append(ss, Normalize01(float64(best.S), SMin, SMax))
+		rs = append(rs, NormalizeLog2(float64(best.R), RMin, RMax))
+		o.logf("fig7 %-16s rep %2d -> C=(%v,%v,%d,%d)", label, rep, best.CI, best.CB, best.S, best.R)
 	}
 	out := []ParamDistribution{
 		{Label: label, Param: "CI", Summary: Summarize(cis)},
@@ -342,7 +344,7 @@ func CompareSearches(sceneName string, algos []kdtree.Algorithm, strides []int, 
 		rcEx.Search = SearchExhaustive
 		rcEx.ExhaustiveStrides = strides
 		rcEx.MaxIterations = 1 << 30 // bounded by the grid size below
-		ex := newExhaustiveRun(rcEx, o)
+		ex := Run(rcEx).BestConfig()
 		exTimes := measureConfigTimes(rc, ex, o.BaseFrames)
 		o.logf("fig9 %-10s exhaustive best C=(%v,%v,%v,%v)", algo, ex.CI, ex.CB, ex.S, ex.R)
 
@@ -354,19 +356,6 @@ func CompareSearches(sceneName string, algos []kdtree.Algorithm, strides []int, 
 		})
 	}
 	return out, nil
-}
-
-// newExhaustiveRun walks the (strided) grid once and returns the best
-// configuration found.
-func newExhaustiveRun(rc RunConfig, o Opts) kdtree.Config {
-	res := Run(rc)
-	return kdtree.Config{
-		Algorithm: rc.Algorithm,
-		CI:        float64(res.BestCI),
-		CB:        float64(res.BestCB),
-		S:         res.BestS,
-		R:         res.BestR,
-	}
 }
 
 // measureConfigTimes measures `frames` frame times under a fixed config.

@@ -75,15 +75,6 @@ func goldenConvergence() []ConvergencePoint {
 	}
 }
 
-func goldenFrames() []FrameRecord {
-	return []FrameRecord{
-		{Iteration: 0, FrameIndex: 0, CI: 17, CB: 10, S: 3, R: 4096,
-			Build: 1500 * time.Microsecond, Render: 3500 * time.Microsecond, Total: 5 * time.Millisecond},
-		{Iteration: 1, FrameIndex: 1, CI: 33, CB: 0, S: 1, R: 16,
-			Build: 900 * time.Microsecond, Render: 4100 * time.Microsecond, Total: 5 * time.Millisecond},
-	}
-}
-
 func TestGoldenCSV(t *testing.T) {
 	cases := []struct {
 		file  string
@@ -92,7 +83,6 @@ func TestGoldenCSV(t *testing.T) {
 		{"speedup.csv", func(b *bytes.Buffer) error { return WriteSpeedupCSV(b, goldenCells()) }},
 		{"distribution.csv", func(b *bytes.Buffer) error { return WriteDistributionCSV(b, goldenDistributions()) }},
 		{"convergence.csv", func(b *bytes.Buffer) error { return WriteConvergenceCSV(b, goldenConvergence()) }},
-		{"frames.csv", func(b *bytes.Buffer) error { return WriteFramesCSV(b, goldenFrames()) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,11 @@ func tinyDynamic(frames int) *scene.Scene {
 	}}, nil)
 }
 
+// frameParam reads the named dimension of a frame's parameter vector.
+func frameParam(res *RunResult, f FrameRecord, name string) int {
+	return f.Params[slices.Index(res.ParamNames, name)]
+}
+
 func fastOpts() Opts {
 	return Opts{
 		Workers: 4, Width: 32, Height: 24,
@@ -62,7 +68,7 @@ func TestRunFixedRecordsFrames(t *testing.T) {
 		t.Fatalf("recorded %d frames, want 5", len(res.Frames))
 	}
 	for _, f := range res.Frames {
-		if f.CI != 17 || f.CB != 10 || f.S != 3 || f.R != 4096 {
+		if frameParam(res, f, "CI") != 17 || frameParam(res, f, "CB") != 10 || frameParam(res, f, "S") != 3 {
 			t.Fatalf("fixed run drifted from base config: %+v", f)
 		}
 		if f.Total <= 0 || f.Build <= 0 {
@@ -72,8 +78,8 @@ func TestRunFixedRecordsFrames(t *testing.T) {
 			t.Fatalf("static scene should stay on frame 0, got %d", f.FrameIndex)
 		}
 	}
-	if res.BestCI != 17 || res.BestR != 4096 {
-		t.Fatalf("fixed run best config wrong: %+v", res)
+	if best := res.BestConfig(); best.CI != 17 || best.R != 4096 {
+		t.Fatalf("fixed run best config wrong: %+v", best)
 	}
 }
 
@@ -87,12 +93,14 @@ func TestRunNelderMeadStaysInBounds(t *testing.T) {
 		t.Fatal("no frames")
 	}
 	for _, f := range res.Frames {
-		if f.CI < CIMin || f.CI > CIMax || f.CB < CBMin || f.CB > CBMax ||
-			f.S < SMin || f.S > SMax || f.R < RMin || f.R > RMax {
+		ci, cb := frameParam(res, f, "CI"), frameParam(res, f, "CB")
+		s, r := frameParam(res, f, "S"), frameParam(res, f, "R")
+		if ci < CIMin || ci > CIMax || cb < CBMin || cb > CBMax ||
+			s < SMin || s > SMax || r < RMin || r > RMax {
 			t.Fatalf("configuration escaped Table II ranges: %+v", f)
 		}
-		if f.R&(f.R-1) != 0 {
-			t.Fatalf("R=%d not a power of two", f.R)
+		if r&(r-1) != 0 {
+			t.Fatalf("R=%d not a power of two", r)
 		}
 	}
 	if res.BestTotal <= 0 {
@@ -106,10 +114,11 @@ func TestRunNonLazyDoesNotTuneR(t *testing.T) {
 		Search: SearchNelderMead, Workers: 2, Width: 24, Height: 18,
 		MaxIterations: 10, Seed: 5,
 	})
-	for _, f := range res.Frames {
-		if f.R != 4096 {
-			t.Fatalf("R changed on a non-lazy algorithm: %+v", f)
-		}
+	if slices.Contains(res.ParamNames, "R") {
+		t.Fatalf("R registered on a non-lazy algorithm: %v", res.ParamNames)
+	}
+	if r := res.BestConfig().R; r != 4096 {
+		t.Fatalf("non-lazy best config R = %d, want the base 4096", r)
 	}
 }
 
@@ -431,14 +440,4 @@ func TestCSVWriters(t *testing.T) {
 		t.Fatalf("convergence CSV wrong:\n%s", buf.String())
 	}
 
-	buf.Reset()
-	if err := WriteFramesCSV(&buf, []FrameRecord{{
-		Iteration: 1, FrameIndex: 0, CI: 17, CB: 10, S: 3, R: 4096,
-		Build: 50 * time.Millisecond, Render: 25 * time.Millisecond, Total: 75 * time.Millisecond,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "1,0,17,10,3,4096,0.050000,0.025000,0.075000") {
-		t.Fatalf("frames CSV wrong:\n%s", buf.String())
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"kdtune/internal/autotune"
@@ -64,9 +65,12 @@ type RunConfig struct {
 	// frame 5 times").
 	RepeatFrames int
 
-	// ExhaustiveStrides coarsens the §V-D4 grid (per parameter: CI, CB, S,
-	// R). nil = full grid. The exhaustive walk covers only the paper's tree
-	// parameters; PacketWidth/TileSize stay at their base values there.
+	// ExhaustiveStrides coarsens the §V-D4 grid, positionally per Table II
+	// parameter: CI, CB, S, R. At most four entries, none negative; a
+	// missing trailing stride (or 0) means full resolution, and the R
+	// stride is ignored on grids without R. nil = full grid. The exhaustive
+	// walk covers only the paper's tree parameters; every other tunable
+	// stays at its base value there.
 	ExhaustiveStrides []int
 
 	// PacketWidth and TileSize are the base render configuration: rays per
@@ -106,13 +110,10 @@ type RunConfig struct {
 
 // FrameRecord is the measurement of one frame (one Start/Stop cycle).
 type FrameRecord struct {
-	Iteration    int
-	FrameIndex   int
-	CI, CB, S, R int
-	P, T         int // packet width and tile size the frame rendered with
+	Iteration  int
+	FrameIndex int
 	// Params is the full registered parameter vector the frame ran with, in
-	// RunResult.ParamNames order — the generic form of the legacy fields
-	// above, covering the substrate tunables (B, G, GB, SB) too.
+	// RunResult.ParamNames order.
 	Params []int
 	Build  time.Duration
 	Render time.Duration
@@ -125,21 +126,19 @@ type FrameRecord struct {
 
 // RunResult aggregates a run.
 type RunResult struct {
-	Config                       RunConfig
-	Frames                       []FrameRecord
-	ConvergedAt                  int // iteration index of convergence, -1 if never
-	Restarts                     int // drift-triggered search restarts (§V-D4)
-	AbortedBuilds                int // guarded builds stopped by a Guard limit
-	FallbackFrames               int // frames rendered from the median-split fallback tree
-	BestCI, BestCB, BestS, BestR int
-	BestP, BestT                 int // best packet width / tile size (base values unless co-tuned)
-	BestTotal                    time.Duration
+	Config         RunConfig
+	Frames         []FrameRecord
+	ConvergedAt    int // iteration index of convergence, -1 if never
+	Restarts       int // drift-triggered search restarts (§V-D4)
+	AbortedBuilds  int // guarded builds stopped by a Guard limit
+	FallbackFrames int // frames rendered from the median-split fallback tree
+	BestTotal      time.Duration
 
 	// ParamNames names every registered tunable of the run in registration
 	// order (the dimension order of FrameRecord.Params), and TunedParams is
 	// the full named best-found vector — tuned dimensions carry the search
-	// optimum, untuned ones their base values. The legacy Best* fields above
-	// are projections of TunedParams kept for existing consumers.
+	// optimum, untuned ones their base values. BestConfig assembles the
+	// build configuration from it.
 	ParamNames  []string
 	TunedParams map[string]int
 
@@ -233,6 +232,10 @@ func (rc RunConfig) Validate() error {
 	check(rc.BuildGuard.Deadline >= 0, "BuildGuard.Deadline %v negative", rc.BuildGuard.Deadline)
 	check(rc.BuildGuard.MaxDepth >= 0, "BuildGuard.MaxDepth %d negative", rc.BuildGuard.MaxDepth)
 	check(rc.BuildGuard.MaxArenaBytes >= 0, "BuildGuard.MaxArenaBytes %d negative", rc.BuildGuard.MaxArenaBytes)
+	check(len(rc.ExhaustiveStrides) <= len(tableII),
+		"ExhaustiveStrides has %d entries, want at most %d (CI, CB, S, R)", len(rc.ExhaustiveStrides), len(tableII))
+	check(!slices.ContainsFunc(rc.ExhaustiveStrides, func(s int) bool { return s < 0 }),
+		"ExhaustiveStrides %v has a negative stride", rc.ExhaustiveStrides)
 	if err := rc.Base.Validate(); err != nil {
 		errs = append(errs, err) // the zero Base ("use defaults") passes
 	}
@@ -245,7 +248,7 @@ func (rc RunConfig) Validate() error {
 // TunedVars bundles the tuned program variables of one run: the registered
 // tunables point into these fields, so the search mutates them directly and
 // the per-frame build/render configuration is assembled from them. The zero
-// value is not useful — use newTunedVars to seed from a RunConfig.
+// value is not useful — use NewTunedVars to seed from a RunConfig.
 type TunedVars struct {
 	CI, CB, S, R int // Table II cost-model parameters
 
@@ -256,9 +259,11 @@ type TunedVars struct {
 	PacketWidth, TileSize int
 }
 
-// newTunedVars seeds the tuned variables from the (normalized) run config's
-// base configuration.
-func newTunedVars(rc RunConfig) TunedVars {
+// NewTunedVars seeds the tuned variables from the run config's base
+// configuration, with the defaults Run fills in for zero fields — the base
+// vector a run starts from and SearchFixed measures.
+func NewTunedVars(rc RunConfig) TunedVars {
+	rc = rc.normalize()
 	return TunedVars{
 		CI: int(rc.Base.CI), CB: int(rc.Base.CB), S: rc.Base.S, R: rc.Base.R,
 		Bins: rc.Base.Bins, ScatterGrain: rc.Base.ScatterGrain,
@@ -267,9 +272,9 @@ func newTunedVars(rc RunConfig) TunedVars {
 	}
 }
 
-// buildConfig assembles the per-frame build configuration from the current
-// tuned values.
-func (v *TunedVars) buildConfig(rc RunConfig) kdtree.Config {
+// BuildConfig assembles the build configuration of the current tuned values
+// for a run of rc.
+func (v *TunedVars) BuildConfig(rc RunConfig) kdtree.Config {
 	return kdtree.Config{
 		Algorithm:    rc.Algorithm,
 		CI:           float64(v.CI),
@@ -284,45 +289,37 @@ func (v *TunedVars) buildConfig(rc RunConfig) kdtree.Config {
 	}
 }
 
-// TreeRegistry composes the paper's Table II cost-model grid over v: CI, CB,
-// S, and — for the lazy builder — R. It is the exhaustive walk's search
-// space (§V-D4), kept separate from the full registry so ExhaustiveStrides
-// keeps its positional (CI, CB, S, R) meaning and the grid stays tractable.
-func TreeRegistry(algo kdtree.Algorithm, v *TunedVars) (*autotune.Registry, error) {
+// tableII names the paper's Table II cost-model parameters in the exhaustive
+// walk's positional order (the order of ExhaustiveStrides). R is registered
+// only for the lazy builder, so the walk is 3-D or 4-D.
+var tableII = []string{"CI", "CB", "S", "R"}
+
+// ComposeRegistry composes the full co-tuned search space of one run over v:
+// the Table II cost parameters (CI, CB, S, and R for the lazy builder), then
+// the build-side concurrency tunables (B, G, GB, SB), then the render-side
+// packet parameters (P, T). Every subsystem registers through the same
+// autotune.Registry mechanism, and the registration order here is the
+// canonical dimension order of RunResult.ParamNames and FrameRecord.Params.
+func ComposeRegistry(algo kdtree.Algorithm, v *TunedVars) (*autotune.Registry, error) {
 	reg := autotune.NewRegistry()
-	for _, tn := range []autotune.Tunable{
+	tree := []autotune.Tunable{
 		{Name: "CI", Target: &v.CI, Min: CIMin, Max: CIMax, Step: 1,
 			Desc: "SAH triangle intersection cost"},
 		{Name: "CB", Target: &v.CB, Min: CBMin, Max: CBMax, Step: 1,
 			Desc: "SAH primitive duplication cost"},
 		{Name: "S", Target: &v.S, Min: SMin, Max: SMax, Step: 1,
 			Desc: "max subtrees per thread (task spawn budget)"},
-	} {
+	}
+	if algo.HasR() {
+		tree = append(tree, autotune.Tunable{
+			Name: "R", Target: &v.R, Min: RMin, Max: RMax, Scale: autotune.ScalePow2,
+			Desc: "lazy minimal node resolution (primitives)",
+		})
+	}
+	for _, tn := range tree {
 		if err := reg.Register(tn); err != nil {
 			return nil, err
 		}
-	}
-	if algo.HasR() {
-		if err := reg.Register(autotune.Tunable{
-			Name: "R", Target: &v.R, Min: RMin, Max: RMax, Scale: autotune.ScalePow2,
-			Desc: "lazy minimal node resolution (primitives)",
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return reg, nil
-}
-
-// ComposeRegistry composes the full co-tuned search space of one run over v:
-// the Table II cost parameters, then the build-side concurrency tunables
-// (B, G, GB, SB), then the render-side packet parameters (P, T). Every
-// subsystem registers through the same autotune.Registry mechanism, and the
-// registration order here is the canonical dimension order of
-// RunResult.ParamNames and FrameRecord.Params.
-func ComposeRegistry(algo kdtree.Algorithm, v *TunedVars) (*autotune.Registry, error) {
-	reg, err := TreeRegistry(algo, v)
-	if err != nil {
-		return nil, err
 	}
 	if err := kdtree.RegisterBuildTunables(reg, &v.Bins, &v.ScatterGrain, &v.BinGrain, &v.SplitBias); err != nil {
 		return nil, err
@@ -331,6 +328,27 @@ func ComposeRegistry(algo kdtree.Algorithm, v *TunedVars) (*autotune.Registry, e
 		return nil, err
 	}
 	return reg, nil
+}
+
+// newTuner builds the run's search over reg, or returns nil for
+// SearchFixed. Nelder–Mead owns the full co-tuned space. The exhaustive walk
+// stays on the Table II subset of the same registry: composing the
+// substrate dimensions in would explode the §V-D4 comparison from
+// thousands of points to millions, and ExhaustiveStrides keeps its
+// positional (CI, CB, S, R) meaning.
+func newTuner(rc RunConfig, reg *autotune.Registry) (*autotune.Tuner, error) {
+	switch rc.Search {
+	case SearchNelderMead:
+		tuner := autotune.New(autotune.Options{
+			Seed:            rc.Seed,
+			RetuneThreshold: rc.RetuneThreshold,
+			RetuneWindow:    rc.RetuneWindow,
+		})
+		return tuner, tuner.RegisterAll(reg)
+	case SearchExhaustive:
+		return autotune.NewExhaustiveTuner(autotune.Options{Seed: rc.Seed}, reg.Subset(tableII...), rc.ExhaustiveStrides)
+	}
+	return nil, nil
 }
 
 // Run executes the Figure 4 workflow: per frame, apply the configuration
@@ -349,41 +367,18 @@ func Run(rc RunConfig) *RunResult {
 
 	// The tuned program variables, initialised to the base configuration.
 	// Every registered tunable points into vars; the searches mutate them
-	// through the registry.
-	vars := newTunedVars(rc)
-	fullReg, err := ComposeRegistry(rc.Algorithm, &vars)
+	// through the registry. The base snapshot seeds the reported vector:
+	// dimensions the search never moves keep their base values.
+	vars := NewTunedVars(rc)
+	reg, err := ComposeRegistry(rc.Algorithm, &vars)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
-	res.ParamNames = fullReg.Names()
-
-	var tuner *autotune.Tuner
-	switch rc.Search {
-	case SearchNelderMead:
-		// The online search owns the full co-tuned space: Table II cost
-		// parameters, the build-side concurrency tunables, and the
-		// render-side packet parameters.
-		tuner = autotune.New(autotune.Options{
-			Seed:            rc.Seed,
-			RetuneThreshold: rc.RetuneThreshold,
-			RetuneWindow:    rc.RetuneWindow,
-		})
-		if err := tuner.RegisterAll(fullReg); err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-	case SearchExhaustive:
-		// The exhaustive walk stays on the paper's Table II grid: composing
-		// the substrate dimensions in would explode the §V-D4 comparison
-		// from ~thousands of points to millions, and ExhaustiveStrides keeps
-		// its positional (CI, CB, S, R) meaning.
-		treeReg, err := TreeRegistry(rc.Algorithm, &vars)
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-		tuner, err = autotune.NewExhaustiveTunerFromRegistry(autotune.Options{Seed: rc.Seed}, treeReg, rc.ExhaustiveStrides)
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
+	res.ParamNames = reg.Names()
+	res.TunedParams = reg.Snapshot()
+	tuner, err := newTuner(rc, reg)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
 	}
 
 	// One Builder and one framebuffer for the whole run: every frame rebuilds
@@ -420,7 +415,7 @@ func Run(rc RunConfig) *RunResult {
 		if tuner != nil {
 			tuner.Start()
 		}
-		cfg := vars.buildConfig(rc)
+		cfg := vars.BuildConfig(rc)
 		if err := cfg.Validate(); err != nil {
 			// Tuner probes stay inside Table II, far within the hard
 			// limits; anything else (a corrupted Base leaking through) is
@@ -477,9 +472,7 @@ func Run(rc RunConfig) *RunResult {
 		}
 		res.Frames = append(res.Frames, FrameRecord{
 			Iteration: iter, FrameIndex: frame,
-			CI: vars.CI, CB: vars.CB, S: vars.S, R: vars.R,
-			P: vars.PacketWidth, T: vars.TileSize,
-			Params: fullReg.Vector(),
+			Params: reg.Vector(),
 			Build:  tBuild, Render: total - tBuild, Total: total,
 			Aborted: aborted,
 		})
@@ -505,29 +498,16 @@ func Run(rc RunConfig) *RunResult {
 
 	// The best-found vector: tuned dimensions carry the search optimum;
 	// dimensions the search never moved (everything under SearchFixed, the
-	// substrate/render dimensions under SearchExhaustive) stay at their base
-	// values, which is what the current targets hold for them.
-	base := newTunedVars(rc)
-	baseReg, err := ComposeRegistry(rc.Algorithm, &base)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	tp := baseReg.Snapshot()
+	// substrate/render dimensions under SearchExhaustive) keep the base
+	// snapshot taken before the loop.
 	if tuner != nil {
 		res.Restarts = tuner.Restarts()
 		if best, ok := tuner.BestByName(); ok {
 			for k, v := range best {
-				tp[k] = v
+				res.TunedParams[k] = v
 			}
 		}
 	}
-	res.TunedParams = tp
-	res.BestCI, res.BestCB, res.BestS = tp["CI"], tp["CB"], tp["S"]
-	res.BestR = rc.Base.R
-	if rc.Algorithm.HasR() {
-		res.BestR = tp["R"]
-	}
-	res.BestP, res.BestT = tp["P"], tp["T"]
 	res.BestTotal = res.SteadyStateTime()
 	return res
 }
@@ -545,23 +525,26 @@ func frameSequence(rc RunConfig) func(iter int) int {
 	}
 }
 
-// BestConfig assembles the run's best-found parameters into a build
-// configuration, including the tuned substrate fields (bins, grains, split
-// bias) when the run carried them.
+// BestConfig assembles the run's best-found vector (TunedParams) into a
+// build configuration: the Table II parameters and the substrate fields
+// (bins, grains, split bias). R falls back to the base configuration's
+// when the run did not register it (every builder but lazy).
 func (r *RunResult) BestConfig() kdtree.Config {
+	tp := r.TunedParams
 	cfg := kdtree.Config{
-		Algorithm: r.Config.Algorithm,
-		CI:        float64(r.BestCI),
-		CB:        float64(r.BestCB),
-		S:         r.BestS,
-		R:         r.BestR,
-		Workers:   r.Config.Workers,
+		Algorithm:    r.Config.Algorithm,
+		CI:           float64(tp["CI"]),
+		CB:           float64(tp["CB"]),
+		S:            tp["S"],
+		R:            r.Config.Base.R,
+		Workers:      r.Config.Workers,
+		Bins:         tp["B"],
+		ScatterGrain: tp["G"],
+		BinGrain:     tp["GB"],
+		SplitBias:    tp["SB"],
 	}
-	if r.TunedParams != nil {
-		cfg.Bins = r.TunedParams["B"]
-		cfg.ScatterGrain = r.TunedParams["G"]
-		cfg.BinGrain = r.TunedParams["GB"]
-		cfg.SplitBias = r.TunedParams["SB"]
+	if v, ok := tp["R"]; ok {
+		cfg.R = v
 	}
 	return cfg
 }

@@ -93,18 +93,19 @@ func TestBestConfigEdges(t *testing.T) {
 		{
 			"best parameters and run identity are carried over",
 			RunResult{
-				Config: RunConfig{Algorithm: kdtree.AlgoLazy, Workers: 3},
-				BestCI: 42, BestCB: 7, BestS: 5, BestR: 1024,
+				Config:      RunConfig{Algorithm: kdtree.AlgoLazy, Workers: 3, Base: kdtree.Config{R: 64}},
+				TunedParams: map[string]int{"CI": 42, "CB": 7, "S": 5, "R": 1024, "B": 16, "G": 512, "GB": 2048, "SB": 1, "P": 4},
 			},
-			kdtree.Config{Algorithm: kdtree.AlgoLazy, CI: 42, CB: 7, S: 5, R: 1024, Workers: 3},
+			kdtree.Config{Algorithm: kdtree.AlgoLazy, CI: 42, CB: 7, S: 5, R: 1024, Workers: 3,
+				Bins: 16, ScatterGrain: 512, BinGrain: 2048, SplitBias: 1},
 		},
 		{
 			"frames and convergence metadata do not leak into the config",
 			RunResult{
-				Config:      RunConfig{Algorithm: kdtree.AlgoNested},
+				Config:      RunConfig{Algorithm: kdtree.AlgoNested, Base: kdtree.Config{R: RMax}},
 				Frames:      framesWithTotals(time.Millisecond),
 				ConvergedAt: 17, Restarts: 2,
-				BestCI: CIMin, BestCB: CBMax, BestS: SMin, BestR: RMax,
+				TunedParams: map[string]int{"CI": CIMin, "CB": CBMax, "S": SMin},
 			},
 			kdtree.Config{Algorithm: kdtree.AlgoNested, CI: CIMin, CB: CBMax, S: SMin, R: RMax},
 		},

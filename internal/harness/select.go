@@ -18,10 +18,10 @@ import (
 
 // AlgorithmChoice is the outcome of tuning one algorithm during selection.
 type AlgorithmChoice struct {
-	Algorithm    kdtree.Algorithm
-	Tuned        time.Duration // steady-state frame time after tuning
-	CI, CB, S, R int
-	ConvergedAt  int
+	Algorithm   kdtree.Algorithm
+	Tuned       time.Duration // steady-state frame time after tuning
+	Config      kdtree.Config // the tuned configuration (RunResult.BestConfig)
+	ConvergedAt int
 }
 
 // Selection is the result of SelectAlgorithm.
@@ -46,13 +46,13 @@ func SelectAlgorithm(sc *scene.Scene, o Opts) Selection {
 		})
 		// Compare algorithms on re-measured tuned configurations, not on
 		// tuning-run tails (see SpeedupExperiment).
+		best := res.BestConfig()
 		tuned := MeasureFixed(RunConfig{
 			Scene: sc, Algorithm: algo, Workers: o.Workers,
-			Width: o.Width, Height: o.Height, Base: res.BestConfig(),
+			Width: o.Width, Height: o.Height, Base: best,
 		}, o.BaseFrames)
 		choice := AlgorithmChoice{
-			Algorithm: algo, Tuned: tuned,
-			CI: res.BestCI, CB: res.BestCB, S: res.BestS, R: res.BestR,
+			Algorithm: algo, Tuned: tuned, Config: best,
 			ConvergedAt: res.ConvergedAt,
 		}
 		sel.Choices = append(sel.Choices, choice)
@@ -73,6 +73,7 @@ func PrintSelection(w io.Writer, sel Selection) {
 			marker = "*"
 		}
 		fmt.Fprintf(w, "%s %-10s %10s  C=(%d,%d,%d,%d)\n",
-			marker, c.Algorithm, c.Tuned.Round(100*time.Microsecond), c.CI, c.CB, c.S, c.R)
+			marker, c.Algorithm, c.Tuned.Round(100*time.Microsecond),
+			int(c.Config.CI), int(c.Config.CB), c.Config.S, c.Config.R)
 	}
 }

@@ -31,7 +31,7 @@ func TestFramesDeterministicAcrossWorkersForRandomVectors(t *testing.T) {
 		}
 		rc := RunConfig{Scene: sc, Algorithm: kdtree.AlgoInPlace, Workers: 1}
 
-		cfg := vars.buildConfig(rc)
+		cfg := vars.BuildConfig(rc)
 		tree := kdtree.Build(tris, cfg)
 		want, _ := render.Render(tree, sc.View, sc.Lights, render.Options{
 			Width: 48, Height: 36, Workers: 1,
@@ -54,8 +54,8 @@ func TestFramesDeterministicAcrossWorkersForRandomVectors(t *testing.T) {
 
 // TestRunReportsFullNamedVector pins the report shape the registry refactor
 // exists for: a finished run names every registered dimension and carries a
-// complete name-keyed tuned vector, and the legacy Best* fields are
-// projections of that map, not an independent code path.
+// complete name-keyed tuned vector, and BestConfig is assembled from that
+// map, not from an independent code path.
 func TestRunReportsFullNamedVector(t *testing.T) {
 	res := Run(RunConfig{
 		Scene: tinyScene(), Algorithm: kdtree.AlgoInPlace,
@@ -71,18 +71,15 @@ func TestRunReportsFullNamedVector(t *testing.T) {
 			t.Errorf("TunedParams missing %q: %v", name, res.TunedParams)
 		}
 	}
-	if got, want := res.BestCI, res.TunedParams["CI"]; got != want {
-		t.Errorf("BestCI = %d, want TunedParams[CI] = %d", got, want)
-	}
-	if got, want := res.BestP, res.TunedParams["P"]; got != want {
-		t.Errorf("BestP = %d, want TunedParams[P] = %d", got, want)
-	}
 	for _, f := range res.Frames {
 		if len(f.Params) != len(res.ParamNames) {
 			t.Fatalf("frame %d records %d params, want %d", f.Iteration, len(f.Params), len(res.ParamNames))
 		}
 	}
 	cfg := res.BestConfig()
+	if int(cfg.CI) != res.TunedParams["CI"] || cfg.S != res.TunedParams["S"] || cfg.R != res.Config.Base.R {
+		t.Errorf("BestConfig Table II fields %+v do not match TunedParams %v", cfg, res.TunedParams)
+	}
 	if cfg.Bins != res.TunedParams["B"] || cfg.ScatterGrain != res.TunedParams["G"] ||
 		cfg.BinGrain != res.TunedParams["GB"] || cfg.SplitBias != res.TunedParams["SB"] {
 		t.Errorf("BestConfig scheduling fields %+v do not match TunedParams %v", cfg, res.TunedParams)

@@ -27,8 +27,8 @@
 //		tuner.Stop()
 //	}
 //
-// (The paper's original RegisterParameter(&v, min, max, step) methods remain
-// available on Tuner for clients that do not need named registration.)
+// RegisterAll is the only way parameters enter a Tuner: each tuned variable
+// is declared once, as a named Tunable.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // paper-vs-reproduction results.

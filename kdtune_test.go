@@ -36,12 +36,26 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeTunerWorkflow(t *testing.T) {
-	tuner := NewTuner(TunerOptions{Seed: 9})
-	n := 0
-	if err := tuner.RegisterNamedParameter("N", &n, 1, 32, 1); err != nil {
+// newTuner is the facade's Figure 1 setup: a registry of the tunables
+// handed to a new Tuner.
+func newTuner(t testing.TB, opts TunerOptions, tunables ...Tunable) *Tuner {
+	t.Helper()
+	reg := NewTunableRegistry()
+	for _, tn := range tunables {
+		if err := reg.Register(tn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tuner := NewTuner(opts)
+	if err := tuner.RegisterAll(reg); err != nil {
 		t.Fatal(err)
 	}
+	return tuner
+}
+
+func TestFacadeTunerWorkflow(t *testing.T) {
+	n := 0
+	tuner := newTuner(t, TunerOptions{Seed: 9}, Tunable{Name: "N", Target: &n, Min: 1, Max: 32, Step: 1})
 	for i := 0; i < 120 && !tuner.Converged(); i++ {
 		tuner.Start()
 		d := float64(n - 12)
