@@ -128,9 +128,11 @@ type BenchResult struct {
 	Speedup     float64 `json:"speedup"`      // base median / tuned median
 
 	// Render-side tuned parameters (packet width, tile size) and the
-	// demotion rate (demoted lanes / packet rays) observed during the tuned
-	// measurement frames. Zero TunedP marks a report from before these were
-	// tunable; -compare then skips the render-config equality requirement.
+	// demotion rate (demotion events / packet rays — a lane handed to the
+	// scalar core twice counts twice, so the rate can exceed 1) observed
+	// during the tuned measurement frames. Zero TunedP marks a report from
+	// before these were tunable; -compare then skips the render-config
+	// equality requirement.
 	TunedP       int     `json:"tuned_packet,omitempty"`
 	TunedT       int     `json:"tuned_tile,omitempty"`
 	DemotionRate float64 `json:"demotion_rate,omitempty"`

@@ -1,79 +1,25 @@
 package kdtree
 
-import (
-	"sync"
-
-	"kdtune/internal/vecmath"
-)
+import "kdtune/internal/sah"
 
 // AlgoMedian is the classic non-SAH baseline: spatial-median splitting on
 // the longest axis, terminating on a fixed leaf size. It ignores CI/CB (no
 // cost model) and exists to quantify what the SAH — and therefore tuning
 // the SAH's parameters — buys. It is not part of the paper's four variants
 // but is the standard strawman in the kD-tree literature (cf. Wald–Havran
-// §2) and backs the BenchmarkMedianVsSAH ablation.
+// §2) and backs the BenchmarkMedianVsSAH ablation. It runs on the
+// depth-first engine with the node-level builder's subtree tasks.
 const AlgoMedian Algorithm = 100
 
 // medianLeafSize is the fixed termination threshold of the baseline.
 const medianLeafSize = 16
 
-// buildMedian recursively splits at the spatial median of the longest axis,
-// parallelised with the same subtree-task scheme as the node-level builder.
-func (c *buildCtx) buildMedian() vecmath.AABB {
-	a := &c.b.main
-	items, bounds := c.rootItems(a)
-	if len(items) == 0 {
-		return vecmath.AABB{}
+// decideMedian splits at the spatial median of the longest axis until a
+// node holds at most medianLeafSize primitives.
+func (c *buildCtx) decideMedian(t subtree, depth int) (sah.Split, bool) {
+	if len(t.items) <= medianLeafSize || depth >= c.cfg.MaxDepth {
+		return sah.Split{}, false
 	}
-	c.recurseMedian(a, items, bounds, 0)
-	return bounds
-}
-
-func (c *buildCtx) recurseMedian(a *arena, items []item, bounds vecmath.AABB, depth int) {
-	if c.checkAbort(depth) {
-		return
-	}
-	if len(items) <= medianLeafSize || depth >= c.cfg.MaxDepth {
-		c.makeLeaf(a, items, depth)
-		return
-	}
-	axis := bounds.LongestAxis()
-	pos := (bounds.Min.Axis(axis) + bounds.Max.Axis(axis)) / 2
-	lb, rb := bounds.Split(axis, pos)
-
-	mark := a.markItems()
-	left, right := c.partitionItems(a, items, axis, pos, lb, rb)
-	if len(left) == len(items) && len(right) == len(items) {
-		a.releaseItems(mark)
-		c.makeLeaf(a, items, depth)
-		return
-	}
-
-	c.counters.noteInner()
-	self := a.emitInner(axis, pos)
-	if depth < c.spawnCap {
-		la, ra := c.b.getArena(), c.b.getArena()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
-		c.pool.Spawn(func() {
-			defer wg.Done()
-			c.recurseMedian(la, left, lb, depth+1)
-		})
-		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
-		c.pool.Spawn(func() {
-			defer wg.Done()
-			c.recurseMedian(ra, right, rb, depth+1)
-		})
-		wg.Wait()
-		a.graft(la)
-		a.patchRight(self, a.graft(ra))
-		c.b.putArena(la)
-		c.b.putArena(ra)
-	} else {
-		c.recurseMedian(a, left, lb, depth+1)
-		a.patchRight(self, int32(len(a.nodes)))
-		c.recurseMedian(a, right, rb, depth+1)
-	}
-	a.releaseItems(mark)
+	axis := t.bounds.LongestAxis()
+	return sah.Split{Axis: axis, Pos: (t.bounds.Min.Axis(axis) + t.bounds.Max.Axis(axis)) / 2}, true
 }

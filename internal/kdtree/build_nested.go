@@ -1,113 +1,28 @@
 package kdtree
 
 import (
-	"sync"
-
 	"kdtune/internal/parallel"
 	"kdtune/internal/sah"
 	"kdtune/internal/vecmath"
 )
 
 // nestedSequentialCutoff is the node size below which the nested builder
-// stops parallelising within nodes and falls back to the plain node-level
-// recursion: for small primitive lists the fork-join and scan overhead
-// exceeds the work (Choi et al. make the same transition from their
-// "nested" to per-subtree processing once enough parallelism exists across
-// subtrees).
+// stops parallelising within nodes and decides and partitions like the
+// node-level builder: for small primitive lists the fork-join and scan
+// overhead exceeds the work (Choi et al. make the same transition from
+// their "nested" to per-subtree processing once enough parallelism exists
+// across subtrees). The in-place/lazy builders use the same cutoff to
+// choose between the binned search and the sweep (decideSplitLevel).
+//
+// The nested parallel algorithm of §IV-B is the depth-first engine with
+// subtree tasks exactly as in the node-level variant, plus parallel
+// processing of the primitive list inside nodes at or above the cutoff: the
+// per-node work — histogramming primitive extents (decideSplitLevel with
+// the full worker budget) and partitioning the list (parallelPartition) —
+// is expressed as parallel passes over primitive chunks followed by short
+// serialised merges, the "sequence of parallel prefix operations"
+// structure of the original algorithm.
 const nestedSequentialCutoff = 2048
-
-// buildNested implements the nested parallel algorithm of §IV-B: subtree
-// tasks exactly as in the node-level variant, plus parallel processing of
-// the primitive list inside a node. The per-node work — histogramming
-// primitive extents and partitioning the list — is expressed as parallel
-// passes over primitive chunks followed by short serialised merges, the
-// "sequence of parallel prefix operations" structure of the original
-// algorithm.
-func (c *buildCtx) buildNested() vecmath.AABB {
-	a := &c.b.main
-	items, bounds := c.rootItems(a)
-	if len(items) == 0 {
-		return vecmath.AABB{}
-	}
-	c.recurseNested(a, items, bounds, 0)
-	return bounds
-}
-
-func (c *buildCtx) recurseNested(a *arena, items []item, bounds vecmath.AABB, depth int) {
-	if c.checkAbort(depth) {
-		return
-	}
-	if len(items) < nestedSequentialCutoff {
-		c.recurseNodeLevel(a, items, bounds, depth)
-		return
-	}
-	if depth >= c.cfg.MaxDepth {
-		c.makeLeaf(a, items, depth)
-		return
-	}
-
-	split, ok := c.parallelBestSplit(items, bounds)
-	if !ok || c.params.ShouldTerminate(len(items), split) {
-		c.makeLeaf(a, items, depth)
-		return
-	}
-
-	mark := a.markItems()
-	left, right, lb, rb := c.parallelPartition(a, items, split, bounds)
-	// A canceled partition returns unusable lists (skipped chunks leave
-	// garbage counts); bail before acting on them.
-	if c.aborted() {
-		a.releaseItems(mark)
-		return
-	}
-	if len(left) == len(items) && len(right) == len(items) {
-		a.releaseItems(mark)
-		c.makeLeaf(a, items, depth)
-		return
-	}
-
-	c.counters.noteInner()
-	self := a.emitInner(split.Axis, split.Pos)
-	if depth < c.spawnCap {
-		la, ra := c.b.getArena(), c.b.getArena()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
-		c.pool.Spawn(func() {
-			defer wg.Done()
-			c.recurseNested(la, left, lb, depth+1)
-		})
-		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
-		c.pool.Spawn(func() {
-			defer wg.Done()
-			c.recurseNested(ra, right, rb, depth+1)
-		})
-		wg.Wait()
-		a.graft(la)
-		a.patchRight(self, a.graft(ra))
-		c.b.putArena(la)
-		c.b.putArena(ra)
-	} else {
-		c.recurseNested(a, left, lb, depth+1)
-		a.patchRight(self, int32(len(a.nodes)))
-		c.recurseNested(a, right, rb, depth+1)
-	}
-	a.releaseItems(mark)
-}
-
-// parallelBestSplit evaluates the binned SAH split search with per-chunk
-// private histograms merged at the barrier (parallel histogram + reduction).
-// The chunk geometry and the chunk index both come from the parallel
-// package, so no arithmetic here can drift out of sync with the scheduler;
-// worker counts <= 0 are normalised inside.
-func (c *buildCtx) parallelBestSplit(items []item, bounds vecmath.AABB) (sah.Split, bool) {
-	return sah.FindBestSplitBinnedChunksCancel(c.canceler(), c.params, bounds, len(items), c.cfg.Bins, c.cfg.Workers, c.cfg.BinGrain,
-		func(bs *sah.BinSet, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				bs.Add(items[i].bounds)
-			}
-		})
-}
 
 // sideFlag classifies one item against a split plane.
 type sideFlag uint8
@@ -123,8 +38,7 @@ const (
 // write offsets, and a parallel scatter pass. All scratch comes from the
 // arena (it dies before the recursion descends); the child lists are carved
 // off the item stack at the exact sizes the scans report.
-func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, parent vecmath.AABB) (left, right []item, lb, rb vecmath.AABB) {
-	lb, rb = parent.Split(split.Axis, split.Pos)
+func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, lb, rb vecmath.AABB) (left, right []item) {
 	n := len(items)
 	workers := c.cfg.Workers
 
@@ -140,10 +54,7 @@ func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, pa
 	parallel.ForCancel(cc, n, workers, func(loIdx, hiIdx int) {
 		for i := loIdx; i < hiIdx; i++ {
 			it := items[i]
-			lo := it.bounds.Min.Axis(split.Axis)
-			hi := it.bounds.Max.Axis(split.Axis)
-			goesLeft := lo < split.Pos || (lo == hi && lo == split.Pos)
-			goesRight := hi > split.Pos
+			goesLeft, goesRight := planeSides(it.bounds, split)
 			flags[i] = 0
 			cntL[i], cntR[i] = 0, 0
 			if goesLeft {
@@ -169,12 +80,12 @@ func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, pa
 	// scanning garbage could demand absurd allocations — hence the bail
 	// before each consumer.
 	if cc.Canceled() {
-		return nil, nil, lb, rb
+		return nil, nil
 	}
 	nl := parallel.ExclusiveScanCancel(cc, cntL, cntL, workers)
 	nr := parallel.ExclusiveScanCancel(cc, cntR, cntR, workers)
 	if cc.Canceled() {
-		return nil, nil, lb, rb
+		return nil, nil
 	}
 	left = a.allocItems(nl)
 	right = a.allocItems(nr)
@@ -189,5 +100,5 @@ func (c *buildCtx) parallelPartition(a *arena, items []item, split sah.Split, pa
 			}
 		}
 	})
-	return left, right, lb, rb
+	return left, right
 }

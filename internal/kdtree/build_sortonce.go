@@ -1,9 +1,7 @@
 package kdtree
 
 import (
-	"math"
 	"slices"
-	"sync"
 
 	"kdtune/internal/parallel"
 	"kdtune/internal/sah"
@@ -21,9 +19,9 @@ import (
 // the same work describes, kept as a separate algorithm so the two can be
 // benchmarked against each other (BenchmarkSortOnceVsPerNode).
 //
-// Subtrees parallelise exactly like the node-level builder: every node's
-// state (slots, events, classification) is private, so tasks never share
-// mutable data.
+// It runs on the depth-first engine, so subtrees parallelise exactly like
+// the node-level builder: every node's state (slots, events,
+// classification) is private, so tasks never share mutable data.
 const AlgoSortOnce Algorithm = 101
 
 // Event kinds and the per-slot classification of the splice step.
@@ -64,20 +62,14 @@ func soLess(a, b soEvent) int {
 	return int(a.kind) - int(b.kind)
 }
 
-// buildSortOnce is the entry point: generate + sort all events, recurse.
-func (c *buildCtx) buildSortOnce() vecmath.AABB {
-	a := &c.b.main
-	items, bounds := c.rootItems(a)
-	if len(items) == 0 {
-		return vecmath.AABB{}
-	}
+// rootEvents generates and sorts the events of the root items, once.
+func (c *buildCtx) rootEvents(a *arena, items []item) []soEvent {
 	events := a.allocEvents(6 * len(items))[:0]
 	for slot, it := range items {
 		events = appendEvents(events, int32(slot), it.bounds)
 	}
 	parallel.SortFuncCancel(c.canceler(), events, c.cfg.Workers, soLess)
-	c.recurseSortOnce(a, items, events, bounds, 0)
-	return bounds
+	return events
 }
 
 // appendEvents emits the (up to six) events of one slot's bounds.
@@ -95,18 +87,21 @@ func appendEvents(dst []soEvent, slot int32, b vecmath.AABB) []soEvent {
 	return dst
 }
 
-// sweepEvents finds the best split with a single pass over the (sorted)
-// event list, running the three per-axis sweeps simultaneously.
-func (c *buildCtx) sweepEvents(events []soEvent, bounds vecmath.AABB, n int) (sah.Split, bool) {
-	best := sah.Split{Cost: math.Inf(1)}
-	found := false
-	areaNode := bounds.SurfaceArea()
-	if areaNode <= 0 || n == 0 {
-		return best, false
+// decideSortOnce finds the best split with a single pass over the node's
+// sorted event list, running the three per-axis sweeps simultaneously, and
+// applies the SAH termination rule (equation 2).
+func (c *buildCtx) decideSortOnce(t subtree, depth int) (sah.Split, bool) {
+	n := len(t.items)
+	if n <= 1 || depth >= c.cfg.MaxDepth {
+		return sah.Split{}, false
+	}
+	sw, ok := sah.NewPlaneSweep(c.params, t.bounds, n)
+	if !ok {
+		return sah.Split{}, false
 	}
 	var nl [3]int
 	nr := [3]int{n, n, n}
-
+	events := t.events
 	for i := 0; i < len(events); {
 		pos, axis := events[i].pos, events[i].axis
 		var pEnd, pPlanar, pStart int
@@ -122,45 +117,22 @@ func (c *buildCtx) sweepEvents(events []soEvent, bounds vecmath.AABB, n int) (sa
 			pStart++
 			i++
 		}
-		a := vecmath.Axis(axis)
 		nr[axis] -= pEnd + pPlanar
-
-		if pos > bounds.Min.Axis(a) && pos < bounds.Max.Axis(a) {
-			l, r := bounds.Split(a, pos)
-			al, ar := l.SurfaceArea(), r.SurfaceArea()
-			cL := c.params.SplitCost(areaNode, al, ar, nl[axis]+pPlanar, nr[axis], n)
-			cR := c.params.SplitCost(areaNode, al, ar, nl[axis], nr[axis]+pPlanar, n)
-			cost, dl, dr := cL, pPlanar, 0
-			if cR < cL {
-				cost, dl, dr = cR, 0, pPlanar
-			}
-			if cost < best.Cost {
-				best = sah.Split{Axis: a, Pos: pos, Cost: cost, NL: nl[axis] + dl, NR: nr[axis] + dr}
-				found = true
-			}
-		}
+		sw.Plane(vecmath.Axis(axis), pos, nl[axis], nr[axis], pPlanar)
 		nl[axis] += pStart + pPlanar
 	}
-	return best, found
+	split, ok := sw.Best()
+	if !ok || c.params.ShouldTerminate(n, split) {
+		return sah.Split{}, false
+	}
+	return split, true
 }
 
-// recurseSortOnce is the splice recursion. Items and events are windows on
-// the arena stacks; child windows are carved below them and released after
-// both children have been emitted.
-func (c *buildCtx) recurseSortOnce(a *arena, items []item, events []soEvent, bounds vecmath.AABB, depth int) {
-	if c.checkAbort(depth) {
-		return
-	}
-	if len(items) <= 1 || depth >= c.cfg.MaxDepth {
-		c.makeLeaf(a, items, depth)
-		return
-	}
-	split, ok := c.sweepEvents(events, bounds, len(items))
-	if !ok || c.params.ShouldTerminate(len(items), split) {
-		c.makeLeaf(a, items, depth)
-		return
-	}
-	lb, rb := bounds.Split(split.Axis, split.Pos)
+// spliceEvents is sort-once's partition step: it classifies t's slots
+// against the plane and splices the sorted event list into the children in
+// linear time, re-generating and merging in only the straddlers' events.
+func (c *buildCtx) spliceEvents(a *arena, t subtree, split sah.Split, lb, rb vecmath.AABB) (leftItems, rightItems []item, leftEvents, rightEvents []soEvent) {
+	items, events := t.items, t.events
 
 	// Classify each slot against the plane using only the chosen axis's
 	// events (Wald–Havran's flag pass): default straddling, overridden by
@@ -217,17 +189,14 @@ func (c *buildCtx) recurseSortOnce(a *arena, items []item, events []soEvent, bou
 		}
 	}
 
-	imark := a.markItems()
-	emark := a.markEvents()
-
 	// Build child item lists and slot remaps. Straddlers are re-narrowed
 	// (clip or box intersection per configuration); a straddler whose
 	// narrowed half vanishes drops out of that child entirely.
 	a.slotL = ensureLen(a.slotL, len(items))
 	a.slotR = ensureLen(a.slotR, len(items))
 	leftSlot, rightSlot := a.slotL, a.slotR
-	leftItems := a.allocItems(nlCap)[:0]
-	rightItems := a.allocItems(nrCap)[:0]
+	leftItems = a.allocItems(nlCap)[:0]
+	rightItems = a.allocItems(nrCap)[:0]
 	leftNew := a.evNewL[:0]
 	rightNew := a.evNewR[:0]
 
@@ -257,17 +226,11 @@ func (c *buildCtx) recurseSortOnce(a *arena, items []item, events []soEvent, bou
 	}
 	a.evNewL = leftNew[:0]
 	a.evNewR = rightNew[:0]
-	if len(leftItems) == len(items) && len(rightItems) == len(items) {
-		a.releaseEvents(emark)
-		a.releaseItems(imark)
-		c.makeLeaf(a, items, depth)
-		return
-	}
 
 	// Splice: one ordered pass distributes surviving events; straddler
 	// replacements are sorted (few) and merged in.
-	leftEvents := a.allocEvents(celCap)[:0]
-	rightEvents := a.allocEvents(cerCap)[:0]
+	leftEvents = a.allocEvents(celCap)[:0]
+	rightEvents = a.allocEvents(cerCap)[:0]
 	for _, e := range events {
 		switch cls[e.slot] {
 		case clsLeft:
@@ -280,35 +243,7 @@ func (c *buildCtx) recurseSortOnce(a *arena, items []item, events []soEvent, bou
 	}
 	leftEvents = mergeNewEvents(a, leftEvents, leftNew)
 	rightEvents = mergeNewEvents(a, rightEvents, rightNew)
-
-	c.counters.noteInner()
-	self := a.emitInner(split.Axis, split.Pos)
-	if depth < c.spawnCap {
-		la, ra := c.b.getArena(), c.b.getArena()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
-		c.pool.Spawn(func() {
-			defer wg.Done()
-			c.recurseSortOnce(la, leftItems, leftEvents, lb, depth+1)
-		})
-		//kdlint:nocancel subtree task polls the build Canceler via checkAbort at every node
-		c.pool.Spawn(func() {
-			defer wg.Done()
-			c.recurseSortOnce(ra, rightItems, rightEvents, rb, depth+1)
-		})
-		wg.Wait()
-		a.graft(la)
-		a.patchRight(self, a.graft(ra))
-		c.b.putArena(la)
-		c.b.putArena(ra)
-	} else {
-		c.recurseSortOnce(a, leftItems, leftEvents, lb, depth+1)
-		a.patchRight(self, int32(len(a.nodes)))
-		c.recurseSortOnce(a, rightItems, rightEvents, rb, depth+1)
-	}
-	a.releaseEvents(emark)
-	a.releaseItems(imark)
+	return leftItems, rightItems, leftEvents, rightEvents
 }
 
 // mergeNewEvents sorts the regenerated straddler events and merges them

@@ -250,18 +250,10 @@ func (b *Builder) BuildGuarded(tris []vecmath.Triangle, cfg Config, g Guard) (*T
 			}
 		}()
 		switch cfg.Algorithm {
-		case AlgoNested:
-			bounds = c.buildNested()
-		case AlgoInPlace:
-			bounds = c.buildBreadthFirst(false)
-		case AlgoLazy:
-			bounds = c.buildBreadthFirst(true)
-		case AlgoMedian:
-			bounds = c.buildMedian()
-		case AlgoSortOnce:
-			bounds = c.buildSortOnce()
-		default: // AlgoNodeLevel and unknown values
-			bounds = c.buildNodeLevel()
+		case AlgoInPlace, AlgoLazy:
+			bounds = c.buildBreadthFirst()
+		default: // node-level, nested, median, sort-once and unknown values
+			bounds = c.buildDepthFirst()
 		}
 	}()
 

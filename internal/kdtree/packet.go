@@ -134,8 +134,10 @@ func (ps *PacketScratch) splitAgreement(mask uint32, axis int, pos float64) (swa
 // them), the closest intersection in the open interval (tMin, tMax) —
 // results land in ps.Hits[l]/ps.Ok[l], bitwise identical to what
 // Tree.Intersect(rays[l], tMin, tMax) returns. It reports the number of
-// lane-demotions to scalar traversal (coherent packets demote rarely; the
-// renderer's demotion-rate counter is this, summed). Safe for concurrent
+// demotion events: one per lane each time the lane is handed to the scalar
+// core, at a divergent split or a deferred node, so one lane can count
+// more than once (coherent packets demote rarely; the renderer's
+// demotion-rate counter is this, summed). Safe for concurrent
 // use with distinct PacketScratch values; lazy trees expand under the same
 // once-latch as the scalar path.
 //
@@ -302,7 +304,7 @@ func (t *Tree) IntersectPacket(ps *PacketScratch, rays []vecmath.Ray, tMin, tMax
 // blocks it within (tMin, tMax) — the shadow-packet analogue of
 // Tree.Occluded, with verdicts in ps.Occ[l]. Lanes deactivate as soon as
 // their verdict is known; the walk ends early once every lane is decided.
-// Returns the number of lane-demotions, as IntersectPacket does.
+// Returns the number of demotion events, as IntersectPacket does.
 //
 //kdlint:hotpath
 func (t *Tree) OccludedPacket(ps *PacketScratch, rays []vecmath.Ray, tMin, tMax float64) (demoted int) {

@@ -255,3 +255,48 @@ func TestPacketDegenerateInputs(t *testing.T) {
 	}()
 	tree.IntersectPacket(&ps, make([]vecmath.Ray, MaxPacketWidth+1), 0, 1)
 }
+
+// TestPacketDemotionsCountEvents pins what the demotion count means: one
+// event per lane per hand-off to the scalar core, not the number of lanes
+// that ever fell back. Every lane of a coherent packet crosses two deferred
+// cells without hitting anything, so each lane is handed off twice and the
+// packet reports twice its width.
+func TestPacketDemotionsCountEvents(t *testing.T) {
+	// Two clusters of 20 thin triangles at opposite ends of the x range,
+	// all off the line y = z = 0.5 the rays travel along. 40 >= R keeps the
+	// root an inner node; each cluster alone is < R, so both children are
+	// suspended.
+	var tris []vecmath.Triangle
+	for _, x0 := range []float64{0, 9} {
+		for i := 0; i < 20; i++ {
+			x := x0 + float64(i)*0.05
+			z := 0.1
+			if i%2 == 1 {
+				z = 0.9
+			}
+			tris = append(tris, vecmath.Tri(vecmath.V(x, 0, z), vecmath.V(x+0.5, 1, z), vecmath.V(x+0.5, 0, z)))
+		}
+	}
+	cfg := BaseConfig(AlgoLazy)
+	cfg.R = 32
+	tree := Build(tris, cfg)
+	root := tree.nodes[tree.root]
+	if root.kind() != kindInner || tree.nodes[tree.root+1].kind() != kindDeferred || tree.nodes[root.right()].kind() != kindDeferred {
+		t.Fatal("fixture did not build an inner root over two deferred cells")
+	}
+
+	const lanes = 4
+	rays := make([]vecmath.Ray, lanes)
+	for l := range rays {
+		rays[l] = vecmath.NewRay(vecmath.V(-1, 0.4+0.05*float64(l), 0.5), vecmath.V(1, 0, 0))
+	}
+	var ps PacketScratch
+	if d := tree.IntersectPacket(&ps, rays, 1e-9, math.Inf(1)); d != 2*lanes {
+		t.Fatalf("IntersectPacket reported %d demotions, want %d (two events per lane)", d, 2*lanes)
+	}
+	for l := range rays {
+		if ps.Ok[l] {
+			t.Fatalf("lane %d hit %+v; the fixture's rays must miss", l, ps.Hits[l])
+		}
+	}
+}

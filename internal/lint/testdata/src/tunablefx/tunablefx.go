@@ -37,7 +37,6 @@ func threadedGrains(cc *parallel.Canceler, xs []float64, grain int) {
 func literalSAH(cc *parallel.Canceler, node vecmath.AABB, prims []vecmath.AABB) {
 	p := sah.Params{CI: 17, CB: 10}
 	_, _ = sah.FindBestSplitBinned(p, node, prims, 32)                                                                    // want `hard-coded bins 32 at sah\.FindBestSplitBinned`
-	_, _ = sah.FindBestSplitBinnedChunks(p, node, len(prims), 64, 4, 2048, func(bs *sah.BinSet, lo, hi int) {})           // want `hard-coded bins 64 at sah\.FindBestSplitBinnedChunks` `hard-coded grain 2048 at sah\.FindBestSplitBinnedChunks`
 	_, _ = sah.FindBestSplitBinnedChunksCancel(cc, p, node, len(prims), 16, 4, 4096, func(bs *sah.BinSet, lo, hi int) {}) // want `hard-coded bins 16 at sah\.FindBestSplitBinnedChunksCancel` `hard-coded grain 4096 at sah\.FindBestSplitBinnedChunksCancel`
 }
 
@@ -46,7 +45,6 @@ func literalSAH(cc *parallel.Canceler, node vecmath.AABB, prims []vecmath.AABB) 
 func tunedSAH(cc *parallel.Canceler, node vecmath.AABB, prims []vecmath.AABB, bins, grain int) {
 	p := sah.Params{CI: 17, CB: 10}
 	_, _ = sah.FindBestSplitBinnedChunksCancel(cc, p, node, len(prims), bins, 4, grain, func(bs *sah.BinSet, lo, hi int) {})
-	_, _ = sah.FindBestSplitBinnedChunks(p, node, len(prims), bins, 4, 0, func(bs *sah.BinSet, lo, hi int) {})
 }
 
 // suppressed shows the sanctioned escape hatch: a pinned grain with a reason.

@@ -58,7 +58,6 @@ var parallelGrainPos = map[string]int{
 // indices of their bins and grain parameters (-1 when absent).
 var sahArgPos = map[string]struct{ bins, grain int }{
 	"FindBestSplitBinned":             {bins: 3, grain: -1},
-	"FindBestSplitBinnedChunks":       {bins: 3, grain: 5},
 	"FindBestSplitBinnedChunksCancel": {bins: 4, grain: 6},
 }
 

@@ -128,9 +128,11 @@ type RenderStats struct {
 	Hits        int
 
 	// Packet-path counters (zero under scalar rendering): Packets counts
-	// packet traversals (primary and shadow), Demotions counts lanes that
-	// fell back to scalar traversal mid-walk. Demotions/PacketRays is the
-	// demotion rate the bench report records.
+	// packet traversals (primary and shadow), Demotions counts demotion
+	// events — one per lane per hand-off to the scalar core, at a divergent
+	// split or a deferred node — so a lane that demotes, rejoins and demotes
+	// again counts twice. Demotions/PacketRays is the demotion rate the
+	// bench report records: events per packet ray, which can exceed 1.
 	Packets    int
 	Demotions  int
 	PacketRays int // rays traced through packets (primary + shadow)

@@ -14,34 +14,27 @@ import (
 const DefaultBins = 32
 
 // BinSet accumulates primitive-extent histograms for one node, one set of
-// three axes. It exists as a separate type so the nested and in-place
-// builders can fill per-worker private BinSets in parallel and merge them —
-// the parallel-histogram + prefix-scan structure of Choi et al.
+// three axes. The builders fill per-chunk private BinSets in parallel
+// through FindBestSplitBinnedChunksCancel, which merges them — the
+// parallel-histogram + prefix-scan structure of Choi et al.
 type BinSet struct {
-	Bins  int
-	Node  vecmath.AABB
+	bins  int
+	node  vecmath.AABB
 	start [3][]int // start[axis][bin]: primitives whose extent begins in bin
 	end   [3][]int // end[axis][bin]:   primitives whose extent ends in bin
 	count int      // primitives accumulated
 }
 
-// NewBinSet creates an empty histogram with the given resolution over node.
-// bins < 2 falls back to DefaultBins.
-func NewBinSet(node vecmath.AABB, bins int) *BinSet {
-	bs := &BinSet{}
-	bs.Reset(node, bins)
-	return bs
-}
-
-// Reset reinitialises bs as an empty histogram over node, reusing the bin
+// reset reinitialises bs as an empty histogram over node, reusing the bin
 // storage when the resolution fits. It is what makes the binned split search
-// allocation-free in the steady state (see binSetPool).
-func (bs *BinSet) Reset(node vecmath.AABB, bins int) {
+// allocation-free in the steady state (see binSetPool). bins < 2 falls back
+// to DefaultBins.
+func (bs *BinSet) reset(node vecmath.AABB, bins int) {
 	if bins < 2 {
 		bins = DefaultBins
 	}
-	bs.Bins = bins
-	bs.Node = node
+	bs.bins = bins
+	bs.node = node
 	bs.count = 0
 	for a := 0; a < 3; a++ {
 		if cap(bs.start[a]) < bins {
@@ -63,7 +56,7 @@ var binSetPool = sync.Pool{New: func() any { return new(BinSet) }}
 
 func getBinSet(node vecmath.AABB, bins int) *BinSet {
 	bs := binSetPool.Get().(*BinSet)
-	bs.Reset(node, bins)
+	bs.reset(node, bins)
 	return bs
 }
 
@@ -74,17 +67,17 @@ var setsPool = sync.Pool{New: func() any { return new([]*BinSet) }}
 
 // binIndex maps a coordinate to its bin along axis, clamped into range.
 func (bs *BinSet) binIndex(axis vecmath.Axis, pos float64) int {
-	lo := bs.Node.Min.Axis(axis)
-	ext := bs.Node.Max.Axis(axis) - lo
+	lo := bs.node.Min.Axis(axis)
+	ext := bs.node.Max.Axis(axis) - lo
 	if ext <= 0 {
 		return 0
 	}
-	i := int(float64(bs.Bins) * (pos - lo) / ext)
+	i := int(float64(bs.bins) * (pos - lo) / ext)
 	if i < 0 {
 		return 0
 	}
-	if i >= bs.Bins {
-		return bs.Bins - 1
+	if i >= bs.bins {
+		return bs.bins - 1
 	}
 	return i
 }
@@ -102,14 +95,14 @@ func (bs *BinSet) Add(b vecmath.AABB) {
 	bs.count++
 }
 
-// Merge folds other into bs. Both must have identical Node and Bins; this is
-// the reduction step after per-worker histogramming.
-func (bs *BinSet) Merge(other *BinSet) {
-	if other.Bins != bs.Bins {
+// merge folds other into bs. Both must cover the same node at the same
+// resolution; this is the reduction step after per-chunk histogramming.
+func (bs *BinSet) merge(other *BinSet) {
+	if other.bins != bs.bins {
 		panic("sah: merging BinSets with different resolutions")
 	}
 	for a := 0; a < 3; a++ {
-		for i := 0; i < bs.Bins; i++ {
+		for i := 0; i < bs.bins; i++ {
 			bs.start[a][i] += other.start[a][i]
 			bs.end[a][i] += other.end[a][i]
 		}
@@ -117,38 +110,35 @@ func (bs *BinSet) Merge(other *BinSet) {
 	bs.count += other.count
 }
 
-// Count returns the number of primitives accumulated.
-func (bs *BinSet) Count() int { return bs.count }
-
-// BestSplit scans the bin boundaries of all three axes (a prefix sum over
+// bestSplit scans the bin boundaries of all three axes (a prefix sum over
 // the histograms) and returns the minimum-SAH split, or false if the node
 // has no interior bin boundary (e.g. zero-extent node or no primitives).
-func (bs *BinSet) BestSplit(p Params) (Split, bool) {
+func (bs *BinSet) bestSplit(p Params) (Split, bool) {
 	best := Split{Cost: math.Inf(1)}
 	found := false
-	areaNode := bs.Node.SurfaceArea()
+	areaNode := bs.node.SurfaceArea()
 	if areaNode <= 0 || bs.count == 0 {
 		return best, false
 	}
 	n := bs.count
 	for a := vecmath.AxisX; a <= vecmath.AxisZ; a++ {
-		lo := bs.Node.Min.Axis(a)
-		ext := bs.Node.Max.Axis(a) - lo
+		lo := bs.node.Min.Axis(a)
+		ext := bs.node.Max.Axis(a) - lo
 		if ext <= 0 {
 			continue
 		}
 		nl, nEnded := 0, 0
-		// Boundary after bin i sits at lo + (i+1)/Bins * ext; the last
+		// Boundary after bin i sits at lo + (i+1)/bins * ext; the last
 		// boundary coincides with the node face and is skipped.
-		for i := 0; i < bs.Bins-1; i++ {
+		for i := 0; i < bs.bins-1; i++ {
 			nl += bs.start[a][i]
 			nEnded += bs.end[a][i]
 			nr := n - nEnded
-			pos := lo + float64(i+1)/float64(bs.Bins)*ext
-			if !splitCandidateValid(bs.Node, a, pos) {
+			pos := lo + float64(i+1)/float64(bs.bins)*ext
+			if !splitCandidateValid(bs.node, a, pos) {
 				continue
 			}
-			l, r := bs.Node.Split(a, pos)
+			l, r := bs.node.Split(a, pos)
 			cost := p.SplitCost(areaNode, l.SurfaceArea(), r.SurfaceArea(), nl, nr, n)
 			if cost < best.Cost {
 				best = Split{Axis: a, Pos: pos, Cost: cost, NL: nl, NR: nr}
@@ -159,14 +149,14 @@ func (bs *BinSet) BestSplit(p Params) (Split, bool) {
 	return best, found
 }
 
-// FindBestSplitBinned is the convenience single-threaded entry point: build
-// one BinSet over prims and return its best split.
+// FindBestSplitBinned is the single-threaded binned search over prims: one
+// histogram of bins per axis, best bin boundary returned.
 func FindBestSplitBinned(p Params, node vecmath.AABB, prims []vecmath.AABB, bins int) (Split, bool) {
-	bs := NewBinSet(node, bins)
-	for _, b := range prims {
-		bs.Add(b)
-	}
-	return bs.BestSplit(p)
+	return FindBestSplitBinnedChunksCancel(nil, p, node, len(prims), bins, 1, 0, func(bs *BinSet, lo, hi int) {
+		for _, b := range prims[lo:hi] {
+			bs.Add(b)
+		}
+	})
 }
 
 // DefaultBinGrain is the default minimum number of primitives binned per
@@ -178,9 +168,9 @@ func FindBestSplitBinned(p Params, node vecmath.AABB, prims []vecmath.AABB, bins
 // searched online.
 const DefaultBinGrain = 2048
 
-// FindBestSplitBinnedChunks is the parallel histogram + reduction form of
-// the binned search (Choi et al.): per-chunk private BinSets are filled
-// concurrently and merged in ascending chunk order. fill must call
+// FindBestSplitBinnedChunksCancel is the parallel histogram + reduction
+// form of the binned search (Choi et al.): per-chunk private BinSets are
+// filled concurrently and merged in ascending chunk order. fill must call
 // bs.Add for every primitive in [lo, hi) — the caller keeps the tight loop
 // so primitive storage stays behind one indirection per chunk, not per
 // item. grain is the minimum primitives histogrammed per chunk; grain <= 0
@@ -191,16 +181,13 @@ const DefaultBinGrain = 2048
 // and the merge order is fixed by the explicit chunk index — which is what
 // lets the builders guarantee worker-count-independent trees even with the
 // grain tuned per build.
-func FindBestSplitBinnedChunks(p Params, node vecmath.AABB, n, bins, workers, grain int, fill func(bs *BinSet, lo, hi int)) (Split, bool) {
-	return FindBestSplitBinnedChunksCancel(nil, p, node, n, bins, workers, grain, fill)
-}
-
-// FindBestSplitBinnedChunksCancel is FindBestSplitBinnedChunks with
-// cooperative cancellation: chunks not yet histogrammed when cc is canceled
-// are skipped and the partial histograms are discarded, so a guarded build's
-// abort propagates through the split search at chunk granularity. A canceled
-// search returns (Split{}, false); callers must check cc before trusting
-// even that. A nil cc disables cancellation.
+//
+// Cancellation is cooperative: chunks not yet histogrammed when cc is
+// canceled are skipped and the partial histograms are discarded, so a
+// guarded build's abort propagates through the split search at chunk
+// granularity. A canceled search returns (Split{Cost: +Inf}, false);
+// callers must check cc before trusting even that. A nil cc disables
+// cancellation.
 func FindBestSplitBinnedChunksCancel(cc *parallel.Canceler, p Params, node vecmath.AABB, n, bins, workers, grain int, fill func(bs *BinSet, lo, hi int)) (Split, bool) {
 	if grain <= 0 {
 		grain = DefaultBinGrain
@@ -236,11 +223,11 @@ func FindBestSplitBinnedChunksCancel(cc *parallel.Canceler, p Params, node vecma
 	total := sets[0]
 	for _, bs := range sets[1:] {
 		if bs != nil {
-			total.Merge(bs)
+			total.merge(bs)
 			binSetPool.Put(bs)
 		}
 	}
-	split, ok := total.BestSplit(p)
+	split, ok := total.bestSplit(p)
 	binSetPool.Put(total)
 	*sp = sets[:0]
 	setsPool.Put(sp)

@@ -260,6 +260,13 @@ func TestHighCBAvoidsStraddlingSplits(t *testing.T) {
 	}
 }
 
+// newBinSet is a fresh histogram over node, outside the pool.
+func newBinSet(node vecmath.AABB, bins int) *BinSet {
+	bs := &BinSet{}
+	bs.reset(node, bins)
+	return bs
+}
+
 func TestBinSetMergeEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	node := box(0, 0, 0, 10, 10, 10)
@@ -271,12 +278,12 @@ func TestBinSetMergeEquivalence(t *testing.T) {
 	}
 	p := DefaultParams()
 
-	whole := NewBinSet(node, 32)
+	whole := newBinSet(node, 32)
 	for _, b := range prims {
 		whole.Add(b)
 	}
 
-	partA, partB := NewBinSet(node, 32), NewBinSet(node, 32)
+	partA, partB := newBinSet(node, 32), newBinSet(node, 32)
 	for i, b := range prims {
 		if i%2 == 0 {
 			partA.Add(b)
@@ -284,13 +291,13 @@ func TestBinSetMergeEquivalence(t *testing.T) {
 			partB.Add(b)
 		}
 	}
-	partA.Merge(partB)
+	partA.merge(partB)
 
-	if partA.Count() != whole.Count() {
-		t.Fatalf("merged count %d != whole count %d", partA.Count(), whole.Count())
+	if partA.count != whole.count {
+		t.Fatalf("merged count %d != whole count %d", partA.count, whole.count)
 	}
-	sWhole, okW := whole.BestSplit(p)
-	sMerged, okM := partA.BestSplit(p)
+	sWhole, okW := whole.bestSplit(p)
+	sMerged, okM := partA.bestSplit(p)
 	if okW != okM || sWhole != sMerged {
 		t.Fatalf("merged best split %+v != whole %+v", sMerged, sWhole)
 	}
@@ -302,7 +309,7 @@ func TestBinSetMergeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBinSet(box(0, 0, 0, 1, 1, 1), 16).Merge(NewBinSet(box(0, 0, 0, 1, 1, 1), 32))
+	newBinSet(box(0, 0, 0, 1, 1, 1), 16).merge(newBinSet(box(0, 0, 0, 1, 1, 1), 32))
 }
 
 func TestBinnedApproximatesSweep(t *testing.T) {
@@ -362,8 +369,8 @@ func TestSweepWorkersEquivalence(t *testing.T) {
 		prims[i] = vecmath.NewAABB(c.Sub(d), c.Add(d)).Intersect(node)
 	}
 	p := DefaultParams()
-	seq, okS := FindBestSplitSweepWorkers(p, node, prims, 1)
-	par, okP := FindBestSplitSweepWorkers(p, node, prims, 8)
+	seq, okS := FindBestSplitSweepCancel(nil, p, node, prims, 1)
+	par, okP := FindBestSplitSweepCancel(nil, p, node, prims, 8)
 	if okS != okP || seq != par {
 		t.Fatalf("parallel sweep differs: %+v vs %+v", par, seq)
 	}
