@@ -148,17 +148,11 @@ func (c *buildCtx) decideSplitSweep(a *arena, items []item, bounds vecmath.AABB,
 	if len(items) <= 1 || depth >= c.cfg.MaxDepth {
 		return sah.Split{}, false
 	}
-	// The event sort dominates the sweep; give the full worker budget to
-	// the topmost (huge) nodes where few subtree tasks exist yet.
-	workers := 1
-	if len(items) >= 32768 {
-		workers = c.cfg.Workers
-	}
 	a.boxes = a.boxes[:0]
 	for i := range items {
 		a.boxes = append(a.boxes, items[i].bounds)
 	}
-	split, ok := sah.FindBestSplitSweepCancel(c.canceler(), c.params, bounds, a.boxes, workers)
+	split, ok := sah.FindBestSplitSweepCancel(c.canceler(), c.params, bounds, a.boxes)
 	if !ok || c.params.ShouldTerminate(len(items), split) {
 		return sah.Split{}, false
 	}

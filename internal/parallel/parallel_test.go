@@ -134,20 +134,28 @@ func TestPoolWorkersBudget(t *testing.T) {
 	var cur, peak atomic.Int64
 	q := NewPool(2)
 	block := make(chan struct{})
+	// Wait must not race with Spawn (its contract), so the spawning
+	// goroutines are joined before it.
+	var spawners sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		go q.Spawn(func() {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
+		spawners.Add(1)
+		go func() {
+			defer spawners.Done()
+			q.Spawn(func() {
+				c := cur.Add(1)
+				for {
+					p := peak.Load()
+					if c <= p || peak.CompareAndSwap(p, c) {
+						break
+					}
 				}
-			}
-			<-block
-			cur.Add(-1)
-		})
+				<-block
+				cur.Add(-1)
+			})
+		}()
 	}
 	close(block)
+	spawners.Wait()
 	q.Wait()
 }
 

@@ -111,16 +111,14 @@ func (bs *BinSet) merge(other *BinSet) {
 }
 
 // bestSplit scans the bin boundaries of all three axes (a prefix sum over
-// the histograms) and returns the minimum-SAH split, or false if the node
-// has no interior bin boundary (e.g. zero-extent node or no primitives).
+// the histograms), offering each to PlaneSweep with no planar primitives,
+// and returns the minimum-SAH split, or false if the node has no interior
+// bin boundary (e.g. zero-extent node or no primitives).
 func (bs *BinSet) bestSplit(p Params) (Split, bool) {
-	best := Split{Cost: math.Inf(1)}
-	found := false
-	areaNode := bs.node.SurfaceArea()
-	if areaNode <= 0 || bs.count == 0 {
-		return best, false
+	sw, ok := NewPlaneSweep(p, bs.node, bs.count)
+	if !ok {
+		return sw.Best()
 	}
-	n := bs.count
 	for a := vecmath.AxisX; a <= vecmath.AxisZ; a++ {
 		lo := bs.node.Min.Axis(a)
 		ext := bs.node.Max.Axis(a) - lo
@@ -133,20 +131,10 @@ func (bs *BinSet) bestSplit(p Params) (Split, bool) {
 		for i := 0; i < bs.bins-1; i++ {
 			nl += bs.start[a][i]
 			nEnded += bs.end[a][i]
-			nr := n - nEnded
-			pos := lo + float64(i+1)/float64(bs.bins)*ext
-			if !splitCandidateValid(bs.node, a, pos) {
-				continue
-			}
-			l, r := bs.node.Split(a, pos)
-			cost := p.SplitCost(areaNode, l.SurfaceArea(), r.SurfaceArea(), nl, nr, n)
-			if cost < best.Cost {
-				best = Split{Axis: a, Pos: pos, Cost: cost, NL: nl, NR: nr}
-				found = true
-			}
+			sw.Plane(a, lo+float64(i+1)/float64(bs.bins)*ext, nl, bs.count-nEnded, 0)
 		}
 	}
-	return best, found
+	return sw.Best()
 }
 
 // FindBestSplitBinned is the single-threaded binned search over prims: one

@@ -28,9 +28,9 @@
 // sequential convenience wrapper over it, FindBestSplitSweep and
 // FindBestSplitBinned. A canceled search returns (Split{Cost: +Inf}, false),
 // the same value as a search that found no valid plane, so callers check
-// their canceler before trusting a false result. The sweep's candidate
-// evaluation is PlaneSweep, which the sort-once builder's presorted sweep
-// shares.
+// their canceler before trusting a false result. One candidate evaluation,
+// PlaneSweep, serves all three searches: the per-node sweep, the sort-once
+// builder's presorted sweep and the binned search's bin boundaries.
 package sah
 
 import (
@@ -92,28 +92,13 @@ func splitCandidateValid(node vecmath.AABB, axis vecmath.Axis, pos float64) bool
 	return pos > node.Min.Axis(axis) && pos < node.Max.Axis(axis)
 }
 
-// eventKind orders coincident events so that the sweep sees ends before
-// planars before starts at the same plane position.
-type eventKind uint8
-
-const (
-	eventEnd eventKind = iota
-	eventPlanar
-	eventStart
-)
-
-// event is one endpoint of a primitive's (clipped) extent along an axis.
-type event struct {
-	pos  float64
-	kind eventKind
-}
-
-// PlaneSweep keeps the cheapest candidate plane of one node's event sweep.
-// It is the Wald–Havran candidate evaluation, shared by both sweeps — the
-// per-node sort of FindBestSplitSweepCancel and the sort-once builder's
-// presorted event stream: the valid-plane check, both placements of the
-// primitives lying in the plane, and the strict-< tie-break that keeps the
-// first of equally cheap planes. Start one with NewPlaneSweep.
+// PlaneSweep keeps the cheapest candidate plane of one node's split search.
+// It is the Wald–Havran candidate evaluation, shared by all three searches
+// — FindBestSplitSweepCancel, the sort-once builder's presorted event
+// stream and the binned search's bin boundaries (with no planar
+// primitives): the valid-plane check, both placements of the primitives
+// lying in the plane, and the strict-< tie-break that keeps the first of
+// equally cheap planes. Start one with NewPlaneSweep.
 type PlaneSweep struct {
 	p        Params
 	node     vecmath.AABB
@@ -166,74 +151,91 @@ func (s *PlaneSweep) Best() (Split, bool) { return s.best, s.found }
 // ignored). It returns the minimum-cost split and false if no valid
 // candidate plane exists.
 func FindBestSplitSweep(p Params, node vecmath.AABB, prims []vecmath.AABB) (Split, bool) {
-	return FindBestSplitSweepCancel(nil, p, node, prims, 1)
+	return FindBestSplitSweepCancel(nil, p, node, prims)
 }
 
-// FindBestSplitSweepCancel is FindBestSplitSweep with a parallelism budget
-// for the event sort and cooperative cancellation threaded into it. Sorting
-// dominates the sweep's cost, so the builders hand the worker budget down
-// for the topmost (largest) nodes; the sort is also the longest
-// uninterruptible stretch of a top-level node's split search, and without a
-// cancellation point a guarded build's deadline could not fire until it
-// finished. A canceled search returns (Split{Cost: +Inf}, false); callers
-// must check cc before trusting even that. A nil cc disables cancellation.
-func FindBestSplitSweepCancel(cc *parallel.Canceler, p Params, node vecmath.AABB, prims []vecmath.AABB, workers int) (Split, bool) {
+// FindBestSplitSweepCancel is FindBestSplitSweep with cooperative
+// cancellation: cc is checked once per axis, so a guarded build's deadline
+// can fire between the three axes of even the root's search. A canceled
+// search returns (Split{Cost: +Inf}, false); callers must check cc before
+// trusting even that. A nil cc disables cancellation.
+//
+// Per axis, every non-empty box contributes either a start and an end key
+// or one planar key, each an order-preserving uint64 of the coordinate
+// (floatKey); the three streams are radix-sorted separately and merged.
+// At each distinct position the sweep counts the ends, then the planars,
+// then the starts there — the order in which sorting (pos, kind) events
+// would group them — and offers the plane to PlaneSweep.
+func FindBestSplitSweepCancel(cc *parallel.Canceler, p Params, node vecmath.AABB, prims []vecmath.AABB) (Split, bool) {
 	sw, ok := NewPlaneSweep(p, node, len(prims))
-	if !ok || cc.Canceled() {
+	if !ok {
 		return sw.best, false
 	}
-
-	bufPtr := getEventBuf(2 * len(prims))
-	events := *bufPtr
-	defer func() {
-		*bufPtr = events // retain grown capacity for reuse
-		putEventBuf(bufPtr)
-	}()
+	n := len(prims)
+	sc := getSweepScratch(n)
+	defer sweepScratchPool.Put(sc)
+	// keys[:n] holds the starts from the front and the planars from the
+	// back (a box adds exactly one of the two, so they never meet),
+	// keys[n:2n] the ends and keys[2n:3n] the radix sort's temp buffer.
+	lows, highs, tmp := sc.keys[:n], sc.keys[n:2*n], sc.keys[2*n:3*n]
 	for axis := vecmath.AxisX; axis <= vecmath.AxisZ; axis++ {
-		events = events[:0]
-		n := 0
+		if cc.Canceled() {
+			return Split{Cost: math.Inf(1)}, false
+		}
+		ns, np := 0, 0
 		for _, b := range prims {
 			if b.IsEmpty() {
 				continue
 			}
 			lo, hi := b.Min.Axis(axis), b.Max.Axis(axis)
 			if lo == hi {
-				events = append(events, event{lo, eventPlanar})
+				np++
+				lows[n-np] = floatKey(lo)
 			} else {
-				events = append(events, event{lo, eventStart}, event{hi, eventEnd})
+				lows[ns], highs[ns] = floatKey(lo), floatKey(hi)
+				ns++
 			}
-			n++
 		}
-		if n == 0 {
+		if ns+np == 0 {
 			continue
 		}
-		sortEvents(cc, events, workers)
-		if cc.Canceled() {
-			return Split{Cost: math.Inf(1)}, false
-		}
+		starts, planars, ends := lows[:ns], lows[n-np:], highs[:ns]
+		radixSort(starts, tmp, &sc.count)
+		radixSort(ends, tmp, &sc.count)
+		radixSort(planars, tmp, &sc.count)
 
-		sw.n = n // Nb counts only the non-empty boxes (the same on every axis)
-		nl, nr := 0, n
-		for i := 0; i < len(events); {
-			pos := events[i].pos
-			var pEnd, pPlanar, pStart int
-			for i < len(events) && events[i].pos == pos && events[i].kind == eventEnd {
-				pEnd++
-				i++
+		sw.n = ns + np // Nb counts only the non-empty boxes (the same on every axis)
+		nl, nr := 0, sw.n
+		// Every start lies below its own end, so the starts run out no
+		// later than the ends.
+		var ie, ip, is int
+		for ie < len(ends) || ip < len(planars) {
+			pos := uint64(math.MaxUint64)
+			if ie < len(ends) {
+				pos = ends[ie]
 			}
-			for i < len(events) && events[i].pos == pos && events[i].kind == eventPlanar {
-				pPlanar++
-				i++
+			if ip < len(planars) && planars[ip] < pos {
+				pos = planars[ip]
 			}
-			for i < len(events) && events[i].pos == pos && events[i].kind == eventStart {
-				pStart++
-				i++
+			if is < len(starts) && starts[is] < pos {
+				pos = starts[is]
 			}
+			e0, p0, s0 := ie, ip, is
+			for ie < len(ends) && ends[ie] == pos {
+				ie++
+			}
+			for ip < len(planars) && planars[ip] == pos {
+				ip++
+			}
+			for is < len(starts) && starts[is] == pos {
+				is++
+			}
+			pEnd, pPlanar, pStart := ie-e0, ip-p0, is-s0
 
 			// Primitives ending or lying exactly at pos leave the right set
 			// before the plane at pos is evaluated.
 			nr -= pEnd + pPlanar
-			sw.Plane(axis, pos, nl, nr, pPlanar)
+			sw.Plane(axis, keyFloat(pos), nl, nr, pPlanar)
 			// Primitives starting or lying at pos belong to the left set for
 			// all later planes.
 			nl += pStart + pPlanar
@@ -242,33 +244,21 @@ func FindBestSplitSweepCancel(cc *parallel.Canceler, p Params, node vecmath.AABB
 	return sw.Best()
 }
 
-// sortEvents orders events by (pos, kind) so the sweep sees ends before
-// planars before starts at coincident positions.
-func sortEvents(cc *parallel.Canceler, ev []event, workers int) {
-	parallel.SortFuncCancel(cc, ev, workers, func(a, b event) int {
-		switch {
-		case a.pos < b.pos:
-			return -1
-		case a.pos > b.pos:
-			return 1
-		}
-		return int(a.kind) - int(b.kind)
-	})
+// sweepScratch is the sweep's working memory: 3n keys (24 bytes per
+// primitive) and the radix sort's digit histograms. Pooled because the
+// recursive builders run the sweep once per node.
+type sweepScratch struct {
+	keys  []uint64
+	count radixCounts
 }
 
-// eventBufPool recycles per-node event buffers: the recursive builders call
-// the sweep once per node, and the allocation otherwise dominates the
-// garbage produced during construction.
-var eventBufPool = sync.Pool{New: func() any { return &[]event{} }}
+var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// getEventBuf returns an empty event slice with at least the given capacity.
-func getEventBuf(capacity int) *[]event {
-	buf := eventBufPool.Get().(*[]event)
-	if cap(*buf) < capacity {
-		*buf = make([]event, 0, capacity)
+// getSweepScratch returns a pooled scratch with room for n primitives.
+func getSweepScratch(n int) *sweepScratch {
+	sc := sweepScratchPool.Get().(*sweepScratch)
+	if len(sc.keys) < 3*n {
+		sc.keys = make([]uint64, 3*n)
 	}
-	*buf = (*buf)[:0]
-	return buf
+	return sc
 }
-
-func putEventBuf(buf *[]event) { eventBufPool.Put(buf) }

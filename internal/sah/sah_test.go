@@ -1,8 +1,10 @@
 package sah
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kdtune/internal/vecmath"
@@ -358,20 +360,210 @@ func TestBinnedDegenerateNode(t *testing.T) {
 	}
 }
 
-func TestSweepWorkersEquivalence(t *testing.T) {
-	// The parallel event sort must not change the chosen split.
-	r := rand.New(rand.NewSource(33))
-	node := box(0, 0, 0, 10, 10, 10)
-	prims := make([]vecmath.AABB, 20000)
-	for i := range prims {
-		c := v(r.Float64()*10, r.Float64()*10, r.Float64()*10)
-		d := v(r.Float64()*0.3, r.Float64()*0.3, r.Float64()*0.3)
-		prims[i] = vecmath.NewAABB(c.Sub(d), c.Add(d)).Intersect(node)
+// referenceSweep is the event-sort formulation of the sweep that
+// FindBestSplitSweepCancel replaced: per axis, one (pos, kind) event per
+// box endpoint (one planar event for a zero-extent box), sorted with ends
+// before planars before starts at equal positions, then swept group by
+// group. It is kept here as the specification of the radix-sorted streams.
+func referenceSweep(p Params, node vecmath.AABB, prims []vecmath.AABB) (Split, bool) {
+	const (
+		kindEnd = iota
+		kindPlanar
+		kindStart
+	)
+	type event struct {
+		pos  float64
+		kind int
 	}
+	sw, ok := NewPlaneSweep(p, node, len(prims))
+	if !ok {
+		return sw.Best()
+	}
+	var events []event
+	for axis := vecmath.AxisX; axis <= vecmath.AxisZ; axis++ {
+		events = events[:0]
+		n := 0
+		for _, b := range prims {
+			if b.IsEmpty() {
+				continue
+			}
+			lo, hi := b.Min.Axis(axis), b.Max.Axis(axis)
+			if lo == hi {
+				events = append(events, event{lo, kindPlanar})
+			} else {
+				events = append(events, event{lo, kindStart}, event{hi, kindEnd})
+			}
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		slices.SortFunc(events, func(a, b event) int {
+			switch {
+			case a.pos < b.pos:
+				return -1
+			case a.pos > b.pos:
+				return 1
+			}
+			return a.kind - b.kind
+		})
+		sw.n = n
+		nl, nr := 0, n
+		for i := 0; i < len(events); {
+			pos := events[i].pos
+			var pEnd, pPlanar, pStart int
+			for i < len(events) && events[i].pos == pos && events[i].kind == kindEnd {
+				pEnd++
+				i++
+			}
+			for i < len(events) && events[i].pos == pos && events[i].kind == kindPlanar {
+				pPlanar++
+				i++
+			}
+			for i < len(events) && events[i].pos == pos && events[i].kind == kindStart {
+				pStart++
+				i++
+			}
+			nr -= pEnd + pPlanar
+			sw.Plane(axis, pos, nl, nr, pPlanar)
+			nl += pStart + pPlanar
+		}
+	}
+	return sw.Best()
+}
+
+// gridPrims draws n boxes whose coordinates are snapped to a coarse grid
+// around the origin, so starts, ends and planars of different boxes
+// coincide and straddle zero, where both signed zeros occur. Some boxes
+// are empty, and flatAxis >= 0 makes every box planar on that axis.
+func gridPrims(r *rand.Rand, n int, flatAxis int) []vecmath.AABB {
+	coord := func() float64 {
+		c := float64(r.Intn(17)-8) * 0.5
+		if c == 0 && r.Intn(2) == 0 {
+			c = math.Copysign(0, -1)
+		}
+		return c
+	}
+	prims := make([]vecmath.AABB, n)
+	for i := range prims {
+		if r.Intn(20) == 0 {
+			prims[i] = vecmath.EmptyAABB()
+			continue
+		}
+		var lo, hi [3]float64
+		for a := range lo {
+			lo[a], hi[a] = coord(), coord()
+			if hi[a] < lo[a] {
+				lo[a], hi[a] = hi[a], lo[a]
+			}
+			if a == flatAxis || r.Intn(6) == 0 {
+				hi[a] = lo[a]
+			}
+		}
+		prims[i] = vecmath.AABB{Min: v(lo[0], lo[1], lo[2]), Max: v(hi[0], hi[1], hi[2])}
+	}
+	return prims
+}
+
+// TestSweepMatchesEventSortReference holds the radix-sorted sweep to the
+// event-sort sweep exactly — the whole Split, not only its cost — on boxes
+// that tie everywhere: grid-snapped, signed zeros, empty boxes, all-planar
+// axes, 1 to 40000 boxes.
+func TestSweepMatchesEventSortReference(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
 	p := DefaultParams()
-	seq, okS := FindBestSplitSweepCancel(nil, p, node, prims, 1)
-	par, okP := FindBestSplitSweepCancel(nil, p, node, prims, 8)
-	if okS != okP || seq != par {
-		t.Fatalf("parallel sweep differs: %+v vs %+v", par, seq)
+	for trial := 0; trial < 600; trial++ {
+		n := int(math.Exp(r.Float64() * math.Log(40000)))
+		if trial%100 == 0 {
+			n = 40000
+		}
+		flatAxis := -1
+		if r.Intn(4) == 0 {
+			flatAxis = r.Intn(3)
+		}
+		prims := gridPrims(r, n, flatAxis)
+		node := box(-3.5-r.Float64(), -4, -4, 3.5+r.Float64(), 4, 4)
+		if flatAxis >= 0 && r.Intn(2) == 0 {
+			// A node without extent on the flat axis: no valid plane there.
+			node.Min = node.Min.SetAxis(vecmath.Axis(flatAxis), 0)
+			node.Max = node.Max.SetAxis(vecmath.Axis(flatAxis), 0)
+		}
+		got, okG := FindBestSplitSweep(p, node, prims)
+		want, okW := referenceSweep(p, node, prims)
+		if okG != okW || got != want {
+			t.Fatalf("trial %d (n=%d, flat axis %d): sweep %+v, %v; reference %+v, %v",
+				trial, n, flatAxis, got, okG, want, okW)
+		}
+	}
+}
+
+// TestRadixSortMatchesSlicesSort checks radixSort against slices.Sort on
+// the keys of awkward floats, at lengths around radixCutoff and above.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), -1, 1, -2.5, 1e-300,
+		5e-324, -5e-324, math.SmallestNonzeroFloat64 * 7, // subnormals
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
+	r := rand.New(rand.NewSource(35))
+	draw := map[string]func() float64{
+		"mixed": func() float64 {
+			switch r.Intn(3) {
+			case 0:
+				return special[r.Intn(len(special))]
+			case 1:
+				return (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(40)-20))
+			}
+			return float64(r.Intn(8) - 4) // heavy duplicates
+		},
+		"duplicates": func() float64 { return float64(r.Intn(3)) * 0.25 },
+		"all-equal":  func() float64 { return -7.75 },
+	}
+	var counts radixCounts
+	for _, n := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 4096, 150000} {
+		for _, name := range []string{"mixed", "duplicates", "all-equal"} {
+			keys := make([]uint64, n)
+			floats := make([]float64, n)
+			for i := range keys {
+				floats[i] = draw[name]()
+				keys[i] = floatKey(floats[i])
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			radixSort(keys, make([]uint64, n), &counts)
+			if !slices.Equal(keys, want) {
+				t.Fatalf("%s n=%d: radixSort differs from slices.Sort", name, n)
+			}
+			// The key order is the float order, and keyFloat inverts
+			// floatKey up to the sign of zero.
+			slices.Sort(floats)
+			for i, k := range keys {
+				if f := keyFloat(k); f != floats[i] {
+					t.Fatalf("%s n=%d: key %d decodes to %v, want %v", name, n, i, f, floats[i])
+				}
+			}
+		}
+	}
+}
+
+var sweepSink Split
+
+// BenchmarkFindBestSplitSweep times one sweep over a 1000-box inner node
+// and over a 75000-box root, the size of Sibenik.
+func BenchmarkFindBestSplitSweep(b *testing.B) {
+	for _, n := range []int{1000, 75000} {
+		r := rand.New(rand.NewSource(36))
+		node := box(0, 0, 0, 10, 10, 10)
+		prims := make([]vecmath.AABB, n)
+		for i := range prims {
+			c := v(r.Float64()*10, r.Float64()*10, r.Float64()*10)
+			d := v(r.Float64()*0.1, r.Float64()*0.1, r.Float64()*0.1)
+			prims[i] = vecmath.NewAABB(c.Sub(d), c.Add(d)).Intersect(node)
+		}
+		p := DefaultParams()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sweepSink, _ = FindBestSplitSweep(p, node, prims)
+			}
+		})
 	}
 }
